@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation/domain failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -27,6 +28,13 @@ from .segments import analyze_segments, blocking, default_ordering, segment_weig
 from .svg import render_svg
 
 
+def nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="tsplinedim",
@@ -38,8 +46,8 @@ def _build_parser():
         p.add_argument("file", help="input file")
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
         if degree:
-            p.add_argument("-m", type=int, required=True, help="degree bound in s")
-            p.add_argument("-n", type=int, required=True, help="degree bound in t")
+            p.add_argument("-m", type=nonnegative_int, required=True, help="degree bound in s")
+            p.add_argument("-n", type=nonnegative_int, required=True, help="degree bound in t")
         if smooth:
             p.add_argument("--smooth", metavar="R,R'", help="constant smoothness override")
         if ordering:
@@ -53,13 +61,12 @@ def _build_parser():
     p_dim = sub.add_parser("dim", help="dimension bounds (and exact dimension with --exact)")
     common(p_dim, smooth=True, degree=True, ordering=True)
     p_dim.add_argument("--exact", action="store_true", help="run the exact rational oracle")
-    p_dim.add_argument("--bounds", action="store_true", help="bounds only (default)")
     p_dim.add_argument("--dump-matrix", metavar="PATH", help="write the constraint system as triplets")
     p_sub = sub.add_parser("subdivide", help="apply a tsub history, print the resulting tmesh")
     p_sub.add_argument("file", help="tsub v1 history file")
     p_sub.add_argument("--json", action="store_true")
-    p_sub.add_argument("-m", type=int, help="degree bound in s (for weighted splits)")
-    p_sub.add_argument("-n", type=int, help="degree bound in t (for weighted splits)")
+    p_sub.add_argument("-m", type=nonnegative_int, help="degree bound in s (for weighted splits)")
+    p_sub.add_argument("-n", type=nonnegative_int, help="degree bound in t (for weighted splits)")
     p_sub.add_argument("--smooth", metavar="R,R'", help="constant smoothness (for weighted splits)")
     p_sub.add_argument("--weighted", metavar="K,K'", help="run every split through the (k,k') rule")
     p_sub.add_argument("--emit-history", metavar="PATH", help="write the expanded elementary history")
@@ -79,7 +86,7 @@ def _read(path, parser):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read {path}: {exc}")
 
 
@@ -126,10 +133,9 @@ def _smoothness_for(args, doc, mesh, parser):
     return dist
 
 
-def _history_for(args):
-    if getattr(args, "history", None):
-        with open(args.history, "r", encoding="utf-8") as fh:
-            return parse_tsub(fh.read())
+def _history_for(args, parser):
+    if args.history:
+        return parse_tsub(_read(args.history, parser))
     return None
 
 
@@ -163,7 +169,7 @@ def cmd_mis(args, parser):
     dist = _smoothness_for(args, doc, mesh, parser)
     degree = (args.m, args.n)
     analysis = analyze_segments(mesh)
-    history = _history_for(args)
+    history = _history_for(args, parser)
     ordering = default_ordering(analysis, history)
     if args.ordering == "search":
         found = dimension.search_ordering(analysis, dist, degree)
@@ -210,7 +216,7 @@ def cmd_dim(args, parser):
     mesh = document_mesh(doc)
     dist = _smoothness_for(args, doc, mesh, parser)
     degree = (args.m, args.n)
-    history = _history_for(args)
+    history = _history_for(args, parser)
     report = dimension.dimension_bounds(mesh, dist, degree, args.ordering, history)
     if args.dump_matrix:
         system = oracle.build_spline_system(mesh, dist, degree)
@@ -222,17 +228,13 @@ def cmd_dim(args, parser):
         certificate = report.certificate
         if certificate == dimension.CERT_NONE:
             certificate = dimension.CERT_ORACLE
-        report = dimension.DimensionReport(
-            combinatorial=report.combinatorial,
+        report = dataclasses.replace(
+            report,
             h_lower=h_value,
             h_upper=h_value,
             dim_lower=dim_value,
             dim_upper=dim_value,
             certificate=certificate,
-            ordering=report.ordering,
-            ordering_source=report.ordering_source,
-            cyclic_blocking=report.cyclic_blocking,
-            per_segment=report.per_segment,
             dim_exact=dim_value,
             h_exact=h_value,
         )

@@ -9,23 +9,23 @@ floating point and no tolerance enters anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import attrgetter
+
+_denominator = attrgetter("denominator")
 
 
 class SparseRationalMatrix:
     """Rational matrix stored as (row, col) -> Fraction, zeros omitted.
 
-    Row and column labels tie indices back to (face, monomial) pairs for
-    diagnostics and the ``--dump-matrix`` output; they play no role in the
-    arithmetic.
+    Only the shape and the nonzero entries are kept; ``dump_triplets`` is
+    the text form behind ``--dump-matrix``.
     """
 
-    def __init__(self, nrows, ncols, row_labels=None, col_labels=None):
+    def __init__(self, nrows, ncols):
         self.nrows = nrows
         self.ncols = ncols
         self.entries: dict[tuple[int, int], Fraction] = {}
-        self.row_labels = list(row_labels) if row_labels is not None else None
-        self.col_labels = list(col_labels) if col_labels is not None else None
 
     def set(self, row, col, value):
         if not 0 <= row < self.nrows or not 0 <= col < self.ncols:
@@ -40,9 +40,6 @@ class SparseRationalMatrix:
         current = self.entries.get((row, col), Fraction(0))
         self.set(row, col, current + value)
 
-    def get(self, row, col):
-        return self.entries.get((row, col), Fraction(0))
-
     @property
     def nnz(self):
         return len(self.entries)
@@ -54,9 +51,6 @@ class SparseRationalMatrix:
             grouped.setdefault(r, {})[c] = v
         return grouped
 
-    def rank(self):
-        return rational_rank(self)
-
     def dump_triplets(self):
         """Text form: header ``rows cols`` then sorted ``r c num/den`` lines."""
         lines = [f"{self.nrows} {self.ncols}"]
@@ -67,14 +61,14 @@ class SparseRationalMatrix:
 
 
 def _primitive_int_row(row):
-    """Scale a {col: Fraction} row to a content-free {col: int} row."""
-    denom = 1
-    for v in row.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {c: int(v * denom) for c, v in row.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
+    """Scale a {col: rational} row to a content-free {col: int} row.
+
+    Zero entries are dropped: a column is live only where the row has a
+    nonzero value, so a pivot is never taken on a zero.
+    """
+    denom = lcm(*map(_denominator, row.values()))
+    ints = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
+    g = gcd(*ints.values())
     if g > 1:
         ints = {c: v // g for c, v in ints.items()}
     return ints
@@ -83,14 +77,14 @@ def _primitive_int_row(row):
 def rational_rank(matrix):
     """Exact rank over Q via sparse fraction-free elimination.
 
-    Pivots are chosen Markowitz-style (sparsest column, then sparsest row in
-    it) with index tie-breaks, so the elimination order is deterministic.
+    ``matrix`` is a SparseRationalMatrix or an iterable of {col: value}
+    rows with int or Fraction values.  Pivots are chosen Markowitz-style
+    (sparsest column, then sparsest row in it) with index tie-breaks, so the
+    elimination order is deterministic.
     """
     if isinstance(matrix, SparseRationalMatrix):
-        raw_rows = list(matrix.rows().values())
-    else:
-        raw_rows = [dict(r) for r in matrix]
-    rows = [_primitive_int_row(r) for r in raw_rows if r]
+        matrix = matrix.rows().values()
+    rows = [row for row in map(_primitive_int_row, matrix) if row]
 
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -123,29 +117,25 @@ def rational_rank(matrix):
                 continue
             old = rows[j]
             b = old[pivot_col]
-            new = {}
-            for c, v in old.items():
-                if c != pivot_col:
-                    new[c] = v * a
+            new = {c: v * a for c, v in old.items() if c != pivot_col}
+            # Only the pivot row's columns can enter or leave row j, so the
+            # column index is patched for those alone.
             for c, v in piv.items():
                 if c == pivot_col:
                     continue
-                nv = new.get(c, 0) - v * b
+                prev = new.get(c)
+                nv = (prev or 0) - v * b
                 if nv:
                     new[c] = nv
+                    if prev is None:
+                        col_rows[c].add(j)
                 else:
-                    new.pop(c, None)
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
+                    del new[c]
+                    col_rows[c].discard(j)
+            g = gcd(*new.values())
             if g > 1:
                 new = {c: v // g for c, v in new.items()}
-            for c in old:
-                if c != pivot_col:
-                    col_rows[c].discard(j)
             rows[j] = new
-            for c in new:
-                col_rows.setdefault(c, set()).add(j)
 
         for c in piv:
             live = col_rows.get(c)
@@ -158,34 +148,4 @@ def rational_rank(matrix):
         for c in [c for c, live in col_rows.items() if not live]:
             del col_rows[c]
 
-    return rank
-
-
-def int_matrix_rank(rows, max_rank=None):
-    """Rank of a list of dense integer rows; early exit at ``max_rank``.
-
-    Incremental fraction-free echelon reduction with content removal; used by
-    the shifted-power brute-force oracle where matrices are tiny but very
-    numerous.
-    """
-    echelon = []  # (pivot index, row list, leading value)
-    rank = 0
-    for row in rows:
-        row = list(row)
-        for piv_idx, piv_row, lead in echelon:
-            coeff = row[piv_idx]
-            if coeff:
-                row = [r * lead - p * coeff for r, p in zip(row, piv_row)]
-        lead_idx = next((k for k, v in enumerate(row) if v), None)
-        if lead_idx is None:
-            continue
-        g = 0
-        for v in row:
-            g = gcd(g, v)
-        if g > 1:
-            row = [v // g for v in row]
-        echelon.append((lead_idx, row, row[lead_idx]))
-        rank += 1
-        if max_rank is not None and rank >= max_rank:
-            return rank
     return rank

@@ -9,12 +9,11 @@ ways.  These are the oracles the combinatorial formulas are tested against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, lcm
 
-from .dimension import apolar_dim, combinatorial_term
+from .dimension import combinatorial_term
 from .errors import DegreeOutOfRange, DuplicatePoints
-from .linalg import SparseRationalMatrix, int_matrix_rank, rational_rank
-from .mesh import as_fraction
+from .linalg import SparseRationalMatrix, rational_rank
 from .segments import analyze_segments
 from .smoothness import quotient_dims
 
@@ -29,9 +28,8 @@ def build_spline_system(mesh, dist, degree):
     """
     m, n = degree
     block = (m + 1) * (n + 1)
-    col_labels = [(c.id, i, j) for c in mesh.cells for i in range(m + 1) for j in range(n + 1)]
 
-    row_labels = []
+    nrows = 0
     rows_per_edge = {}
     for eid in mesh.interior_edges:
         e = mesh.edges[eid]
@@ -41,10 +39,10 @@ def build_spline_system(mesh, dist, degree):
         else:
             r = dist.horizontal_order(e.coord)
             span = [(k, j) for k in range(min(r, m) + 1) for j in range(n + 1)]
-        rows_per_edge[eid] = (len(row_labels), span)
-        row_labels.extend((eid,) + idx for idx in span)
+        rows_per_edge[eid] = (nrows, span)
+        nrows += len(span)
 
-    matrix = SparseRationalMatrix(len(row_labels), len(col_labels), row_labels, col_labels)
+    matrix = SparseRationalMatrix(nrows, len(mesh.cells) * block)
     for eid in mesh.interior_edges:
         e = mesh.edges[eid]
         offset, span = rows_per_edge[eid]
@@ -73,12 +71,16 @@ def spline_dimension_exact(mesh, dist, degree):
 def h_exact(mesh, dist, degree):
     """Homology defect as (exact dimension) minus (combinatorial term)."""
     value = spline_dimension_exact(mesh, dist, degree) - combinatorial_term(mesh, dist, degree)
-    assert value >= 0, "defect must be nonnegative"
+    if value < 0:
+        raise RuntimeError(f"defect must be nonnegative, got {value}")
     return value
 
 
-def _monomial_coeffs_of_shift(a, k):
-    """Coefficients c[i] with (u - a)^k = sum c[i] u^i."""
+def _shifted_power(a, k):
+    """Coefficients c[i] with (u - a)^k = sum c[i] u^i, ascending powers.
+
+    Integer ``a`` gives ints and Fraction ``a`` gives Fractions.
+    """
     return [comb(k, i) * (-a) ** (k - i) for i in range(k + 1)]
 
 
@@ -111,19 +113,19 @@ def h_via_h0(mesh, dist, degree):
             mono = {}
             if e.horizontal:
                 i, l = idx
-                for j, c in enumerate(_monomial_coeffs_of_shift(a, l)):
-                    mono[i * (n + 1) + j] = Fraction(c)
+                for j, c in enumerate(_shifted_power(a, l)):
+                    mono[i * (n + 1) + j] = c
             else:
                 k, j = idx
-                for i, c in enumerate(_monomial_coeffs_of_shift(a, k)):
-                    mono[i * (n + 1) + j] = Fraction(c)
+                for i, c in enumerate(_shifted_power(a, k)):
+                    mono[i * (n + 1) + j] = c
             col = {}
             for sign, vid in ((-1, e.start), (1, e.end)):
                 if not mesh.vertices[vid].interior:
                     continue
                 base = v_offset[vid]
                 for slot, c in mono.items():
-                    col[base + slot] = col.get(base + slot, Fraction(0)) + sign * c
+                    col[base + slot] = col.get(base + slot, 0) + sign * c
             if col:
                 columns.append(col)
 
@@ -178,14 +180,14 @@ def h_via_mis_presentation(mesh, dist, degree, analysis=None):
                 if in_v:
                     # [vertical segment] times (t - y)^{rv+1} s^alpha t^beta
                     _, height = widths[seg_v]
-                    for l, c in enumerate(_monomial_coeffs_of_shift(v.y, rv + 1)):
+                    for l, c in enumerate(_shifted_power(v.y, rv + 1)):
                         col = offsets[seg_v] + alpha * height + (beta + l)
-                        row[col] = row.get(col, Fraction(0)) + c
+                        row[col] = row.get(col, 0) + c
                 if in_h:
                     _, height = widths[seg_h]
-                    for i, c in enumerate(_monomial_coeffs_of_shift(v.x, rh + 1)):
+                    for i, c in enumerate(_shifted_power(v.x, rh + 1)):
                         col = offsets[seg_h] + (alpha + i) * height + beta
-                        row[col] = row.get(col, Fraction(0)) - c
+                        row[col] = row.get(col, 0) - c
                 row = {c: val for c, val in row.items() if val}
                 if row:
                     rows.append(row)
@@ -236,7 +238,7 @@ def d1_full_row_rank(mesh, dist, degree):
                     for p in range(min(i, ph) + 1):
                         c = comb(i, p) * v.x ** (i - p)
                         slot = base + p * (pv + 1) + l
-                        col[slot] = col.get(slot, Fraction(0)) + sign * c
+                        col[slot] = col.get(slot, 0) + sign * c
                 else:
                     k, j = idx  # (s-a)^k t^j at vertex (a, y0): expand t^j around y0
                     if k > ph:
@@ -244,77 +246,38 @@ def d1_full_row_rank(mesh, dist, degree):
                     for q in range(min(j, pv) + 1):
                         c = comb(j, q) * v.y ** (j - q)
                         slot = base + k * (pv + 1) + q
-                        col[slot] = col.get(slot, Fraction(0)) + sign * c
+                        col[slot] = col.get(slot, 0) + sign * c
             if col:
                 columns.append(col)
 
     return rational_rank(columns) == total_rows
 
 
-def _shift_power(a, d):
-    """Dense coefficient list of (u - a)^d, ascending powers."""
-    coeffs = [Fraction(1)]
-    for _ in range(d):
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] -= a * c
-            nxt[i + 1] += c
-        coeffs = nxt
-    return coeffs
-
-
-_SHIFT_INT_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
-def _shift_power_ints(a, d):
-    """Integer coefficients of (u - a)^d for integer a, memoized."""
-    key = (a, d)
-    cached = _SHIFT_INT_CACHE.get(key)
-    if cached is None:
-        cached = tuple(comb(d, i) * (-a) ** (d - i) for i in range(d + 1))
-        _SHIFT_INT_CACHE[key] = cached
-    return cached
-
-
 def apolar_dim_bruteforce(n, points, ds):
     """Rank of the shifted-power generator matrix; the oracle for apolar_dim.
 
-    Also verifies the orthogonality characterization: every multiple of the
-    complementary product of degree <= n is apolar-orthogonal to every
-    generator.
+    Points are ints or Fractions.  Also verifies the orthogonality
+    characterization: every multiple of the complementary product of
+    degree <= n is apolar-orthogonal to every generator.
     """
     if len(points) != len(ds):
         raise ValueError("points and exponents must pair up")
     seen = set()
     for a, d in zip(points, ds):
+        if not isinstance(a, (int, Fraction)):
+            raise TypeError(f"point {a!r} is not an int or a Fraction")
         if a in seen:
             raise DuplicatePoints(f"point {a} repeated")
         seen.add(a)
         if not 0 <= d <= n:
             raise DegreeOutOfRange(f"exponent {d} outside [0, {n}]")
 
-    all_int = all(isinstance(a, int) for a in points)
     generators = []
-    if all_int:
-        for a, d in zip(points, ds):
-            base = _shift_power_ints(int(a), d)
-            pad = n - d
-            for j in range(pad + 1):
-                generators.append([0] * j + list(base) + [0] * (pad - j))
-        int_rows = generators
-    else:
-        for a, d in zip(points, ds):
-            base = _shift_power(as_fraction(a), d)
-            pad = n - d
-            for j in range(pad + 1):
-                generators.append([Fraction(0)] * j + base + [Fraction(0)] * (pad - j))
-        int_rows = []
-        for row in generators:
-            denom = 1
-            for v in row:
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-            int_rows.append([int(v * denom) for v in row])
-    rank = int_matrix_rank(int_rows, max_rank=n + 1)
+    for a, d in zip(points, ds):
+        base = _shifted_power(a, d)
+        for j in range(n - d + 1):
+            generators.append({j + i: c for i, c in enumerate(base)})
+    rank = rational_rank(generators)
 
     # Orthogonality cross-check: every degree <= n multiple of the
     # complementary product pairs to zero with every generator under the
@@ -323,36 +286,25 @@ def apolar_dim_bruteforce(n, points, ds):
     # lcm of the binomials so integer inputs stay in integer arithmetic.
     total = sum(n - d + 1 for d in ds)
     if points and total <= n:
-        one = 1 if all_int else Fraction(1)
-        product = [one]
+        product = [1]
         for a, d in zip(points, ds):
-            factor = _shift_power_ints(a, n - d + 1) if all_int else _shift_power(as_fraction(a), n - d + 1)
-            product = _poly_mul(product, factor)
-        scale = 1
-        for i in range(n + 1):
-            c = comb(n, i)
-            scale = scale * c // gcd(scale, c)
+            product = _poly_mul(product, _shifted_power(a, n - d + 1))
+        scale = lcm(*(comb(n, i) for i in range(n + 1)))
         weights = [(-1) ** i * (scale // comb(n, i)) for i in range(n + 1)]
-        zero = 0 if all_int else Fraction(0)
         for k in range(n - (len(product) - 1) + 1):
-            shifted = [zero] * k + list(product)
-            shifted += [zero] * (n + 1 - len(shifted))
+            shifted = [0] * k + product + [0] * (n + 1 - k - len(product))
             for g in generators:
-                inner = sum(w * gi * shifted[n - i] for i, (w, gi) in enumerate(zip(weights, g)))
-                assert inner == 0, "apolar orthogonality violated"
+                inner = sum(weights[i] * c * shifted[n - i] for i, c in g.items())
+                if inner != 0:
+                    raise RuntimeError("apolar orthogonality violated")
 
     return rank
 
 
 def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return out
-
-
-def verify_apolar_agreement(n, points, ds):
-    """True when the closed form and the brute-force rank coincide."""
-    return apolar_dim(n, list(zip(points, ds))) == apolar_dim_bruteforce(n, points, ds)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import DanglingGeometry
 from .mesh import HORIZONTAL
 
 
@@ -25,11 +26,6 @@ class MaxSegment:
     def horizontal(self):
         return self.direction == HORIZONTAL
 
-    def contains_point(self, x, y):
-        if self.horizontal:
-            return y == self.coord and self.lo <= x <= self.hi
-        return x == self.coord and self.lo <= y <= self.hi
-
 
 class SegmentAnalysis:
     def __init__(self, mesh, segments):
@@ -38,16 +34,11 @@ class SegmentAnalysis:
         self.mis = tuple(s.id for s in segments if s.interior)
         self.mis_h = tuple(s.id for s in segments if s.interior and s.horizontal)
         self.mis_v = tuple(s.id for s in segments if s.interior and not s.horizontal)
-        self.segment_of_edge = {}
         self._through: dict[tuple[int, str], int] = {}
-        self._vertex_sets: dict[int, frozenset[int]] = {}
         self._mis_at_vertex: dict[int, tuple[int, ...]] = {}
         for seg in segments:
-            for eid in seg.edges:
-                self.segment_of_edge[eid] = seg.id
             for vid in seg.vertices:
                 self._through[(vid, seg.direction)] = seg.id
-            self._vertex_sets[seg.id] = frozenset(seg.vertices)
         for sid in self.mis:
             for vid in segments[sid].vertices:
                 self._mis_at_vertex.setdefault(vid, ())
@@ -56,9 +47,6 @@ class SegmentAnalysis:
     def segment_through(self, vertex_id, direction):
         """Maximal segment of the given direction through a vertex, or None."""
         return self._through.get((vertex_id, direction))
-
-    def vertex_on(self, vertex_id, segment_id):
-        return vertex_id in self._vertex_sets[segment_id]
 
     def interior_segments_at(self, vertex_id):
         return self._mis_at_vertex.get(vertex_id, ())
@@ -89,7 +77,8 @@ def analyze_segments(mesh):
         verts = [run[0].start] + [e.end for e in run]
         vobjs = [mesh.vertices[v] for v in verts]
         interior = vobjs[0].interior and vobjs[-1].interior
-        assert all(v.interior for v in vobjs[1:-1]), "segment pinched on the boundary"
+        if not all(v.interior for v in vobjs[1:-1]):
+            raise DanglingGeometry(f"{direction} segment at {coord} pinched on the boundary")
         segments.append(
             MaxSegment(
                 id=sid,
@@ -135,9 +124,6 @@ class Ordering:
     index: dict[int, int] = field(default_factory=dict)
     source: str = "topological"
     cyclic: bool = False
-
-    def rank(self, segment_id):
-        return self.index[segment_id]
 
 
 def default_ordering(analysis, history=None):

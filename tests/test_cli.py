@@ -118,3 +118,37 @@ def test_svg_command(ex11_file, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("<svg") and out.count("<rect") == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "{mesh}", "-m", "2", "-n", "-3", "--smooth", "1,1", "--exact"],
+        ["mis", "{mesh}", "-m", "-1", "-n", "2", "--smooth", "1,1"],
+        ["subdivide", "{history}", "-m", "-1", "-n", "2", "--smooth", "1,1", "--weighted", "3,3"],
+    ],
+)
+def test_negative_degree_is_a_usage_error(argv, ex51_file, tmp_path, capsys):
+    history = tmp_path / "h.tsub"
+    history.write_text("tsub 1\ninit 0 0 2 2\nsplit 0 v 1\n")
+    argv = [a.format(mesh=ex51_file, history=history) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= 0" in captured.err
+
+
+def test_missing_history_file_is_a_usage_error(ex51_file, tmp_path, capsys):
+    missing = tmp_path / "missing.tsub"
+    argv = ["dim", ex51_file, "-m", "2", "-n", "2", "--smooth", "1,1", "--history", str(missing)]
+    assert main(argv) == 2
+    assert f"cannot read {missing}" in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.tmesh"
+    bad.write_bytes(b"tmesh 1\ncell 0 0 1 1\n# caf\xe9\n")
+    assert main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot read {bad}" in captured.err

@@ -160,6 +160,8 @@ def test_apolar_bruteforce_validation():
         t.apolar_dim_bruteforce(4, [2, 2], [1, 1])
     with pytest.raises(DegreeOutOfRange):
         t.apolar_dim_bruteforce(2, [0], [5])
+    with pytest.raises(TypeError):
+        t.apolar_dim_bruteforce(2, [0.5], [1])
 
 
 def test_pinwheel_sandwich():
