@@ -77,9 +77,11 @@ def _build_parser():
 def _parse_pair(text, flag, parser):
     try:
         a, b = text.split(",")
-        return int(a), int(b)
+        return nonnegative_int(a), nonnegative_int(b)
     except ValueError:
         parser.error(f"{flag} expects two integers like 1,1")
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"{flag} {exc}")
 
 
 def _read(path, parser):

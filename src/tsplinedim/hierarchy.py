@@ -41,10 +41,7 @@ class SubdivisionHistory:
         return SubdivisionHistory(self.initial, list(self.events))
 
     def replay(self):
-        mesh = build_mesh([self.initial])
-        for ev in self.events:
-            mesh = _apply_event(mesh, ev)
-        return mesh
+        return _replay(self).mesh
 
 
 @dataclass(frozen=True)
@@ -80,15 +77,6 @@ def _split_rects(mesh, cell_id, direction, coord):
     return rects, cell
 
 
-def _apply_event(mesh, event):
-    rects, _ = _split_rects(mesh, event.cell, event.direction, event.coord)
-    return build_mesh(rects)
-
-
-def _cut_extent(cell, direction):
-    return (cell.y0, cell.y1) if direction == VERTICAL else (cell.x0, cell.x1)
-
-
 def _containing_segment(analysis, direction, coord, at):
     for seg in analysis.segments:
         if seg.direction == direction and seg.coord == coord and seg.lo <= at <= seg.hi:
@@ -96,19 +84,87 @@ def _containing_segment(analysis, direction, coord, at):
     return None
 
 
-def _classify(old_analysis, segment):
+def _covered(old_analysis, segment):
+    """Interior segments of an earlier analysis that segment overlaps on its line."""
+    return [
+        old
+        for old in old_analysis.segments
+        if old.interior
+        and old.direction == segment.direction
+        and old.coord == segment.coord
+        and old.lo <= segment.hi
+        and segment.lo <= old.hi
+    ]
+
+
+def _classify(covered, segment):
     if not segment.interior:
         return BOUNDARY_REACHING
-    for old in old_analysis.segments:
-        if (
-            old.interior
-            and old.direction == segment.direction
-            and old.coord == segment.coord
-            and old.lo <= segment.hi
-            and segment.lo <= old.hi
-        ):
-            return EXTENDED_MIS
-    return NEW_MIS
+    return EXTENDED_MIS if covered else NEW_MIS
+
+
+def _span(segment):
+    return (segment.direction, segment.coord, segment.lo, segment.hi)
+
+
+class _Replay:
+    """Mesh state advanced one elementary split at a time.
+
+    Keeps the segment analysis of the current mesh, which is the "old"
+    analysis of the next split; the index of the event that created each
+    interior segment, keyed by its span (merges keep the earliest); and the
+    number of events that created a new interior segment with no interior
+    vertex.
+    """
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.analysis = analyze_segments(mesh)
+        self.births = {}
+        self.events = 0
+        self.isolated = 0
+
+    def split(self, event):
+        rects, cell = _split_rects(self.mesh, event.cell, event.direction, event.coord)
+        mesh = build_mesh(rects)
+        analysis = analyze_segments(mesh)
+        lo, hi = (cell.y0, cell.y1) if event.direction == VERTICAL else (cell.x0, cell.x1)
+        segment = _containing_segment(analysis, event.direction, event.coord, (lo + hi) / 2)
+        covered = _covered(self.analysis, segment)
+        # a segment that was there before the first replayed event has no record
+        births = [self.births.pop(_span(old), self.events) for old in covered]
+        if segment.interior:
+            self.births[_span(segment)] = min([self.events] + births)
+        classification = _classify(covered, segment)
+        if classification == NEW_MIS and len(segment.vertices) == 2:
+            self.isolated += 1
+        self.mesh, self.analysis = mesh, analysis
+        self.events += 1
+        return SplitOutcome(mesh, segment, classification)
+
+    def ordering(self, analysis):
+        """Order the interior segments of analysis by the event that created each.
+
+        Raises HistoryMismatch when analysis is not of the replayed mesh or a
+        segment has no birth record.
+        """
+        if sorted(self.mesh.cell_rects()) != sorted(analysis.mesh.cell_rects()):
+            raise HistoryMismatch("history does not replay to the analyzed mesh")
+        births = []
+        for sid in analysis.mis:
+            birth = self.births.get(_span(analysis.segments[sid]))
+            if birth is None:
+                raise HistoryMismatch(f"segment {sid} has no unique replay record")
+            births.append((birth, sid))
+        births.sort()
+        return Ordering({sid: i + 1 for i, (_, sid) in enumerate(births)}, "appearance", False)
+
+
+def _replay(history):
+    state = _Replay(build_mesh([history.initial]))
+    for event in history.events:
+        state.split(event)
+    return state
 
 
 def split_cell(mesh, history, cell_id, direction, coord, kind="split", rule=None):
@@ -117,15 +173,11 @@ def split_cell(mesh, history, cell_id, direction, coord, kind="split", rule=None
     Existing edges met by the new segment's end points are re-fragmented by
     the rebuild; the history (when given) records the elementary event.
     """
-    rects, cell = _split_rects(mesh, cell_id, direction, coord)
-    new_mesh = build_mesh(rects)
+    event = SplitEvent(cell_id, direction, as_fraction(coord), kind, rule)
+    outcome = _Replay(mesh).split(event)
     if history is not None:
-        history.events.append(SplitEvent(cell_id, direction, as_fraction(coord), kind, rule))
-    lo, hi = _cut_extent(cell, direction)
-    midpoint = (lo + hi) / 2
-    segment = _containing_segment(analyze_segments(new_mesh), direction, as_fraction(coord), midpoint)
-    classification = _classify(analyze_segments(mesh), segment)
-    return SplitOutcome(new_mesh, segment, classification)
+        history.events.append(event)
+    return outcome
 
 
 def _extension_target(mesh, segment, at_hi):
@@ -152,67 +204,32 @@ def weighted_split(mesh, history, cell_id, direction, coord, smoothness, degree,
     alternating) until it either reaches the domain boundary or its weight
     under the appearance ordering is at least k (horizontal) / kp (vertical).
     Every hop splits the cell it crosses and is recorded in the history.
+    The history is left unchanged when an error is raised.
     """
     if history is None:
         raise ValueError("the weighted rule needs a history for the appearance ordering")
-    coord = as_fraction(coord)
-    old_analysis = analyze_segments(mesh)
-    outcome = split_cell(mesh, history, cell_id, direction, coord, kind="wsplit", rule=(k, kp))
-    lo, hi = _cut_extent(mesh.cells[cell_id], direction)
-    probe = (lo + hi) / 2
-    threshold = k if direction == HORIZONTAL else kp
-
-    current = outcome.mesh
-    at_hi = True
-    while True:
-        analysis = analyze_segments(current)
-        segment = _containing_segment(analysis, direction, coord, probe)
-        if not segment.interior:
-            break
-        dist = resolve_smoothness(smoothness, current)
-        ordering = appearance_ordering(history, analysis)
-        if segment_weight(analysis, dist, degree, ordering, segment.id).weight >= threshold:
-            break
-        target = _extension_target(current, segment, at_hi)
-        hop = split_cell(current, history, target.id, direction, coord, kind="ext")
-        current = hop.mesh
-        at_hi = not at_hi
-
-    final_analysis = analyze_segments(current)
-    segment = _containing_segment(final_analysis, direction, coord, probe)
-    return SplitOutcome(current, segment, _classify(old_analysis, segment))
-
-
-def _replay_segment_births(history):
-    """Replay a history tracking, per interior segment of the final mesh, the
-    index of the event that first created it (merges keep the earliest)."""
-    mesh = build_mesh([history.initial])
-    records = []  # dicts: direction, coord, lo, hi, birth
-    for idx, ev in enumerate(history.events):
-        outcome = split_cell(mesh, None, ev.cell, ev.direction, ev.coord)
-        seg = outcome.segment
-        touching = [
-            r
-            for r in records
-            if r["direction"] == seg.direction
-            and r["coord"] == seg.coord
-            and r["lo"] <= seg.hi
-            and seg.lo <= r["hi"]
-        ]
-        records = [r for r in records if r not in touching]
-        if seg.interior:
-            birth = min([idx] + [r["birth"] for r in touching])
-            records.append(
-                {
-                    "direction": seg.direction,
-                    "coord": seg.coord,
-                    "lo": seg.lo,
-                    "hi": seg.hi,
-                    "birth": birth,
-                }
-            )
-        mesh = outcome.mesh
-    return mesh, records
+    events = [SplitEvent(cell_id, direction, as_fraction(coord), "wsplit", (k, kp))]
+    state = _Replay(mesh)
+    base = state.analysis
+    outcome = state.split(events[0])
+    if outcome.segment.interior:
+        state = _replay(history)
+        state.ordering(base)  # HistoryMismatch unless the history replays to mesh
+        outcome = state.split(events[0])
+        threshold = k if direction == HORIZONTAL else kp
+        at_hi = True
+        while outcome.segment.interior:
+            dist = resolve_smoothness(smoothness, state.mesh)
+            ordering = state.ordering(state.analysis)
+            if segment_weight(state.analysis, dist, degree, ordering, outcome.segment.id).weight >= threshold:
+                break
+            target = _extension_target(state.mesh, outcome.segment, at_hi)
+            events.append(SplitEvent(target.id, direction, events[0].coord, "ext"))
+            outcome = state.split(events[-1])
+            at_hi = not at_hi
+    history.events.extend(events)
+    segment = outcome.segment
+    return SplitOutcome(outcome.mesh, segment, _classify(_covered(base, segment), segment))
 
 
 def appearance_ordering(history, analysis):
@@ -221,25 +238,7 @@ def appearance_ordering(history, analysis):
     Raises HistoryMismatch when the history does not replay to the analyzed
     mesh or a segment cannot be matched to a replay record.
     """
-    mesh, records = _replay_segment_births(history)
-    if sorted(mesh.cell_rects()) != sorted(analysis.mesh.cell_rects()):
-        raise HistoryMismatch("history does not replay to the analyzed mesh")
-    births = []
-    for sid in analysis.mis:
-        seg = analysis.segments[sid]
-        match = [
-            r
-            for r in records
-            if r["direction"] == seg.direction
-            and r["coord"] == seg.coord
-            and r["lo"] == seg.lo
-            and r["hi"] == seg.hi
-        ]
-        if len(match) != 1:
-            raise HistoryMismatch(f"segment {sid} has no unique replay record")
-        births.append((match[0]["birth"], sid))
-    births.sort()
-    return Ordering({sid: i + 1 for i, (_, sid) in enumerate(births)}, "appearance", False)
+    return _replay(history).ordering(analysis)
 
 
 def new_isolated_segment_count(history):
@@ -248,11 +247,4 @@ def new_isolated_segment_count(history):
 
     This is the slack term of the hierarchical biquadratic dimension bound.
     """
-    mesh = build_mesh([history.initial])
-    count = 0
-    for ev in history.events:
-        outcome = split_cell(mesh, None, ev.cell, ev.direction, ev.coord)
-        if outcome.classification == NEW_MIS and len(outcome.segment.vertices) == 2:
-            count += 1
-        mesh = outcome.mesh
-    return count
+    return _replay(history).isolated

@@ -29,6 +29,12 @@ CORNER = "corner"
 
 
 def as_fraction(value):
+    """Exact coordinate from an int, a Fraction or a rational string.
+
+    A float is refused: it would silently become its binary expansion.
+    """
+    if isinstance(value, float):
+        raise TypeError(f"coordinate {value!r} is a float; pass an int, a Fraction or a string")
     return value if isinstance(value, Fraction) else Fraction(value)
 
 

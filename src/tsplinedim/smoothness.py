@@ -8,6 +8,7 @@ constraint simply saturates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,8 +26,8 @@ class Degree(NamedTuple):
 class SmoothnessDistribution:
     def __init__(self, mesh, r_h, r_v):
         self.mesh = mesh
-        self.r_h = {as_fraction(k): int(v) for k, v in r_h.items()}
-        self.r_v = {as_fraction(k): int(v) for k, v in r_v.items()}
+        self.r_h = {as_fraction(k): operator.index(v) for k, v in r_h.items()}
+        self.r_v = {as_fraction(k): operator.index(v) for k, v in r_v.items()}
         for x in mesh.nodes_x:
             if x not in self.r_h:
                 raise UnknownNode(f"missing smoothness for vertical node line x={x}")

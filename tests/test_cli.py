@@ -126,6 +126,8 @@ def test_svg_command(ex11_file, capsys):
         ["dim", "{mesh}", "-m", "2", "-n", "-3", "--smooth", "1,1", "--exact"],
         ["mis", "{mesh}", "-m", "-1", "-n", "2", "--smooth", "1,1"],
         ["subdivide", "{history}", "-m", "-1", "-n", "2", "--smooth", "1,1", "--weighted", "3,3"],
+        ["dim", "{mesh}", "-m", "2", "-n", "2", "--smooth=-1,-1"],
+        ["subdivide", "{history}", "-m", "2", "-n", "2", "--smooth", "1,1", "--weighted=-1,3"],
     ],
 )
 def test_negative_degree_is_a_usage_error(argv, ex51_file, tmp_path, capsys):

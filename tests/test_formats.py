@@ -131,8 +131,14 @@ def test_tsub_weighted_lines():
     dist = t.constant_distribution(mesh, 1, 1)
     order = t.appearance_ordering(expanded, analysis)
     assert t.is_weighted(analysis, dist, (2, 2), order, 3, 3)
-    # expanded history contains the extension hops
-    assert len(expanded.events) > len(history.events)
+    # the wsplit at x=3/2 gains one extension hop through cell 8
+    assert format_tsub(expanded) == (
+        "tsub 1\ninit 0 0 3 3\n"
+        "split 0 v 1\nsplit 1 v 2\n"
+        "split 0 h 1\nsplit 1 h 1\nsplit 2 h 1\n"
+        "split 3 h 2\nsplit 4 h 2\nsplit 5 h 2\n"
+        "split 4 v 3/2\nsplit 8 v 3/2\n"
+    )
 
 
 def test_tsub_errors():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from fractions import Fraction as F
+from hypothesis import given, settings, strategies as st
 
 import tsplinedim as t
 from tsplinedim.errors import CoordinateOnCellBoundary, HistoryMismatch, UnknownCell
@@ -32,6 +33,13 @@ def test_split_validation():
         t.split_cell(mesh, hist, 0, "v", 0)
     with pytest.raises(CoordinateOnCellBoundary):
         t.split_cell(mesh, hist, 0, "h", 7)
+
+
+def test_split_at_float_coordinate_rejected():
+    mesh, hist = t.initial_mesh(0, 0, 2, 2)
+    with pytest.raises(TypeError):
+        t.split_cell(mesh, hist, 0, "v", 0.5)
+    assert hist.events == []
 
 
 def test_ex51_built_by_one_interior_split():
@@ -81,6 +89,39 @@ def test_replay_reproduces_mesh():
     for _ in range(25):
         hist, rects = random_history(rng, rng.randrange(1, 25))
         assert sorted(hist.replay().cell_rects()) == sorted(rects)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0), st.integers(min_value=1, max_value=20))
+def test_stepwise_splits_agree_with_replay(seed, n_splits):
+    """split_cell analyses every mesh afresh, where replay carries one analysis
+    forward.  The births are tracked here as a new segment absorbing the
+    records of every segment it touches on its line."""
+    history, _ = random_history(random.Random(seed), n_splits)
+    mesh, stepped = t.initial_mesh(*history.initial)
+    isolated = 0
+    births = {}  # (direction, coord, lo, hi) -> index of the creating event
+    for index, ev in enumerate(history.events):
+        out = t.split_cell(mesh, stepped, ev.cell, ev.direction, ev.coord)
+        seg = out.segment
+        if out.classification == t.NEW_MIS and len(seg.vertices) == 2:
+            isolated += 1
+        touched = [
+            span for span in births
+            if span[:2] == (seg.direction, seg.coord) and span[2] <= seg.hi and seg.lo <= span[3]
+        ]
+        first = min([index] + [births.pop(span) for span in touched])
+        if seg.interior:
+            births[(seg.direction, seg.coord, seg.lo, seg.hi)] = first
+        mesh = out.mesh
+    assert stepped.events == history.events
+    assert sorted(mesh.cell_rects()) == sorted(history.replay().cell_rects())
+    assert isolated == t.new_isolated_segment_count(history)
+    analysis = t.analyze_segments(mesh)
+    spans = {sid: (s.direction, s.coord, s.lo, s.hi) for sid, s in enumerate(analysis.segments)}
+    by_birth = sorted(analysis.mis, key=lambda sid: births[spans[sid]])
+    expected = {sid: rank for rank, sid in enumerate(by_birth, start=1)}
+    assert t.appearance_ordering(history, analysis).index == expected
 
 
 def test_appearance_order_respects_blocking():
@@ -147,6 +188,16 @@ def test_weighted_split_boundary_prolongation_needs_no_extension():
     out = t.weighted_split(mesh, hist, right.id, "h", 1, t.ConstantSmoothness(0, 0), (1, 1), 2, 2)
     assert out.classification == t.BOUNDARY_REACHING
     assert len(hist.events) == events_before + 1  # no extension hops
+
+
+def test_weighted_split_history_mismatch_leaves_history_unchanged():
+    grid, hist = grid3x3_history()
+    short = t.SubdivisionHistory(hist.initial, hist.events[:-1])
+    center = grid.cell_containing(F(3, 2), F(3, 2))
+    smooth = t.ConstantSmoothness(1, 1)
+    with pytest.raises(HistoryMismatch):
+        t.weighted_split(grid, short, center.id, "v", F(4, 3), smooth, t.Degree(2, 2), 3, 3)
+    assert len(short.events) == len(hist.events) - 1
 
 
 def test_isolated_segment_count():

@@ -73,6 +73,13 @@ def test_degenerate_rectangle_rejected():
         t.build_mesh([])
 
 
+def test_float_coordinates_rejected():
+    with pytest.raises(TypeError):
+        t.build_mesh([(0, 0, 0.1, 1)])
+    exact = t.build_mesh([(0, 0, "1/10", F(1))])
+    assert exact.cells[0].rect == (0, 0, F(1, 10), 1)
+
+
 def test_build_deterministic_under_input_order():
     rng = random.Random(5)
     cells = list(EX11_CELLS)

@@ -44,6 +44,13 @@ def test_missing_node_rejected(staircase):
         dist.horizontal_order(F(7, 2))
 
 
+def test_fractional_order_rejected(staircase):
+    r_h = {x: 1 for x in staircase.nodes_x}
+    r_h[F(2)] = 1.5
+    with pytest.raises(TypeError):
+        t.SmoothnessDistribution(staircase, r_h, {y: 1 for y in staircase.nodes_y})
+
+
 def test_edge_smoothness_and_bidegree(staircase):
     dist = t.constant_distribution(staircase, 1, 1)
     vertical = next(e for e in staircase.edges if e.direction == "v" and e.interior)
