@@ -24,7 +24,7 @@ from .formats import (
     parse_tsub,
 )
 from .mesh import check_counting_identities, stats as mesh_stats
-from .segments import analyze_segments, blocking, default_ordering, segment_weight
+from .segments import analyze_segments, blocking, segment_weight
 from .svg import render_svg
 
 
@@ -172,11 +172,7 @@ def cmd_mis(args, parser):
     degree = (args.m, args.n)
     analysis = analyze_segments(mesh)
     history = _history_for(args, parser)
-    ordering = default_ordering(analysis, history)
-    if args.ordering == "search":
-        found = dimension.search_ordering(analysis, dist, degree)
-        if found is not None:
-            ordering = found
+    ordering, _ = dimension._choose_ordering(analysis, dist, degree, args.ordering, history)
     blocks = {}
     for a, b in blocking(analysis):
         blocks.setdefault(a, []).append(b)

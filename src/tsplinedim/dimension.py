@@ -4,13 +4,18 @@ dimension counts, defect bounds, exactness certificates and the final report."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import DegreeOutOfRange, DuplicatePoints
-from .segments import analyze_segments, default_ordering, is_weighted, segment_weight
+from .segments import (
+    Ordering,
+    _transversal_weight,
+    analyze_segments,
+    default_ordering,
+    segment_weight,
+)
 from .smoothness import quotient_dims
 
-SEARCH_LIMIT = 8  # exhaustive ordering minimization up to this many interior segments
+SEARCH_LIMIT = 14  # exact ordering minimization up to this many interior segments
 
 CERT_NO_MIS = "no-MIS"
 CERT_WEIGHTED = "weighted"
@@ -71,50 +76,93 @@ class DefectBound:
     per_segment: tuple[SegmentContribution, ...]
 
 
-def h_upper_bound(analysis, dist, degree, ordering):
-    """Upper bound for the homology defect under a fixed segment ordering.
+def _contribution(seg, dist, degree, weight):
+    """Defect-bound share of one interior segment of the given weight.
 
-    Each horizontal interior segment contributes (m + 1 - weight)_+ times the
-    transversal factor (n - r), and symmetrically for vertical segments.
+    A horizontal segment contributes (m + 1 - weight)_+ times the transversal
+    factor (n - r)_+, with r the order of its supporting line, and
+    symmetrically for a vertical segment.
     """
     m, n = degree
+    if seg.horizontal:
+        return max(0, m + 1 - weight) * max(0, n - dist.vertical_order(seg.coord))
+    return max(0, m - dist.horizontal_order(seg.coord)) * max(0, n + 1 - weight)
+
+
+def h_upper_bound(analysis, dist, degree, ordering):
+    """Upper bound for the homology defect under a fixed segment ordering."""
     parts = []
     total = 0
     for sid in analysis.mis:
-        seg = analysis.segments[sid]
         w = segment_weight(analysis, dist, degree, ordering, sid).weight
-        if seg.horizontal:
-            r = dist.vertical_order(seg.coord)
-            contribution = max(0, m + 1 - w) * max(0, n - r)
-        else:
-            r = dist.horizontal_order(seg.coord)
-            contribution = max(0, m - r) * max(0, n + 1 - w)
+        contribution = _contribution(analysis.segments[sid], dist, degree, w)
         parts.append(SegmentContribution(sid, w, contribution))
         total += contribution
     return DefectBound(total, tuple(parts))
 
 
 def search_ordering(analysis, dist, degree):
-    """Exhaustively minimize the defect bound over segment orderings.
+    """Minimize the defect bound over all segment orderings.
 
     Only attempted when there are at most SEARCH_LIMIT interior segments (the
     bound is valid for every ordering, so the minimum is the sharpest
     certified value).  Returns the lexicographically smallest minimizer.
-    """
-    from .segments import Ordering
 
+    A segment's weight depends only on the set of segments ranked above it,
+    so this is a dynamic program over subsets, O(2^k k) for k segments:
+    ``best[placed]`` is the smallest total contribution of the segments in
+    the bitmask ``placed`` when they hold the highest ranks.
+    """
     mis = sorted(analysis.mis)
     if len(mis) > SEARCH_LIMIT:
         return None
-    best = None
-    best_perm = None
-    for perm in permutations(mis):
-        ordering = Ordering({sid: i + 1 for i, sid in enumerate(perm)}, "search", False)
-        total = h_upper_bound(analysis, dist, degree, ordering).total
-        if best is None or total < best:
-            best = total
-            best_perm = perm
-    return Ordering({sid: i + 1 for i, sid in enumerate(best_perm)}, "search", False)
+    bit = {sid: 1 << i for i, sid in enumerate(mis)}
+    # Per segment: the mask of the segments sharing one of its vertices, and
+    # its contribution for every set of those that can rank above it.
+    costs = []
+    for sid in mis:
+        seg = analysis.segments[sid]
+        vertices = []
+        near = 0
+        for vid in seg.vertices:
+            mask = 0
+            for other in analysis.interior_segments_at(vid):
+                if other != sid:
+                    mask |= bit[other]
+            vertices.append((mask, _transversal_weight(analysis, dist, degree, seg, vid)))
+            near |= mask
+        table = {}
+        above = near
+        while True:  # every submask of near, near itself first
+            weight = sum(w for mask, w in vertices if not mask & above)
+            table[above] = _contribution(seg, dist, degree, weight)
+            if not above:
+                break
+            above = (above - 1) & near
+        costs.append((near, table))
+
+    full = (1 << len(mis)) - 1
+    best = [0] * (full + 1)
+
+    def totals(placed):
+        """(total, i) for each segment i in ``placed`` taking the lowest rank
+        of the set, below the others."""
+        for i, (near, table) in enumerate(costs):
+            if placed >> i & 1:
+                above = placed ^ 1 << i
+                yield best[above] + table[above & near], i
+
+    for placed in range(1, full + 1):
+        best[placed] = min(totals(placed))[0]
+    # Fill ranks from the bottom, each time with the smallest segment that
+    # still reaches the minimum: the lexicographically smallest minimizer.
+    order = []
+    placed = full
+    while placed:
+        i = next(i for total, i in totals(placed) if total == best[placed])
+        order.append(mis[i])
+        placed ^= 1 << i
+    return Ordering({sid: rank for rank, sid in enumerate(order, 1)}, "search", False)
 
 
 @dataclass(frozen=True)
@@ -130,20 +178,23 @@ def exactness_certificate(analysis, dist, degree, ordering, history=None):
     enough that the bound is attained; hierarchical mesh with constant
     smoothness and degrees at least 2r+1.  Otherwise "none".
     """
+    return _certificate(analysis, dist, degree, h_upper_bound(analysis, dist, degree, ordering), history)
+
+
+def _certificate(analysis, dist, degree, bound, history):
+    """exactness_certificate from the weights already held in ``bound``."""
     m, n = degree
     if not analysis.mis:
         return Certificate(CERT_NO_MIS, 0)
-    if is_weighted(analysis, dist, degree, ordering, m + 1, n + 1):
+    # A segment's weight against m + 1 (horizontal) or n + 1 (vertical).
+    excess = [
+        p.weight - (m + 1 if analysis.segments[p.segment].horizontal else n + 1)
+        for p in bound.per_segment
+    ]
+    if all(e >= 0 for e in excess):
         return Certificate(CERT_WEIGHTED, 0)
-    small = all(
-        segment_weight(analysis, dist, degree, ordering, sid).weight <= m + 1
-        for sid in analysis.mis_h
-    ) and all(
-        segment_weight(analysis, dist, degree, ordering, sid).weight <= n + 1
-        for sid in analysis.mis_v
-    )
-    if small:
-        return Certificate(CERT_SMALL_WEIGHTS, h_upper_bound(analysis, dist, degree, ordering).total)
+    if all(e <= 0 for e in excess):
+        return Certificate(CERT_SMALL_WEIGHTS, bound.total)
     if history is not None:
         constant = dist.is_constant()
         if constant is not None:
@@ -188,6 +239,25 @@ class DimensionReport:
         return payload
 
 
+def _choose_ordering(analysis, dist, degree, ordering_policy, history):
+    """The ordering a report uses, with its defect bound.
+
+    "auto" takes the default ordering; "search" takes the search result
+    instead only when its bound is strictly smaller.
+    """
+    ordering = default_ordering(analysis, history)
+    bound = h_upper_bound(analysis, dist, degree, ordering)
+    if ordering_policy == "search":
+        found = search_ordering(analysis, dist, degree)
+        if found is not None:
+            found_bound = h_upper_bound(analysis, dist, degree, found)
+            if found_bound.total < bound.total:
+                return found, found_bound
+    elif ordering_policy != "auto":
+        raise ValueError(f"unknown ordering policy {ordering_policy!r}")
+    return ordering, bound
+
+
 def dimension_bounds(mesh, dist, degree, ordering_policy="auto", history=None, analysis=None):
     """Combinatorial term plus certified defect interval for one spline space.
 
@@ -197,20 +267,9 @@ def dimension_bounds(mesh, dist, degree, ordering_policy="auto", history=None, a
     """
     if analysis is None:
         analysis = analyze_segments(mesh)
-    ordering = default_ordering(analysis, history)
-    if ordering_policy == "search":
-        found = search_ordering(analysis, dist, degree)
-        if found is not None and (
-            h_upper_bound(analysis, dist, degree, found).total
-            < h_upper_bound(analysis, dist, degree, ordering).total
-        ):
-            ordering = found
-    elif ordering_policy != "auto":
-        raise ValueError(f"unknown ordering policy {ordering_policy!r}")
-
+    ordering, bound = _choose_ordering(analysis, dist, degree, ordering_policy, history)
     term = combinatorial_term(mesh, dist, degree)
-    bound = h_upper_bound(analysis, dist, degree, ordering)
-    certificate = exactness_certificate(analysis, dist, degree, ordering, history)
+    certificate = _certificate(analysis, dist, degree, bound, history)
     if certificate.h is not None:
         h_lo = h_hi = certificate.h
     else:

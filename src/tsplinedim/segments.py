@@ -172,7 +172,6 @@ def segment_weight(analysis, dist, degree, ordering, segment_id):
     transversal multiplicity: degree minus smoothness of the crossing line,
     clamped at zero (orders at or above the degree pin nothing).
     """
-    m, n = degree
     seg = analysis.segments[segment_id]
     rank = ordering.index[segment_id]
     kept = []
@@ -183,11 +182,17 @@ def segment_weight(analysis, dist, degree, ordering, segment_id):
         )
         if not covered:
             kept.append(vid)
-    if seg.horizontal:
-        weight = sum(max(0, m - dist.horizontal_order(analysis.mesh.vertices[v].x)) for v in kept)
-    else:
-        weight = sum(max(0, n - dist.vertical_order(analysis.mesh.vertices[v].y)) for v in kept)
+    weight = sum(_transversal_weight(analysis, dist, degree, seg, v) for v in kept)
     return SegmentWeight(tuple(kept), len(kept), weight)
+
+
+def _transversal_weight(analysis, dist, degree, seg, vertex_id):
+    """What one counted vertex adds to the weight of ``seg``."""
+    m, n = degree
+    vertex = analysis.mesh.vertices[vertex_id]
+    if seg.horizontal:
+        return max(0, m - dist.horizontal_order(vertex.x))
+    return max(0, n - dist.vertical_order(vertex.y))
 
 
 def is_weighted(analysis, dist, degree, ordering, k, kp):

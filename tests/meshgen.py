@@ -91,28 +91,38 @@ def ex19():
     return m, h
 
 
+def grid_history(nx, ny):
+    """nx x ny unit grid on [0,nx]x[0,ny] with its construction history:
+    full-height vertical lines left to right, then each row line cell by cell."""
+    m, h = t.initial_mesh(0, 0, nx, ny)
+    for x in range(1, nx):
+        m = split_at(m, h, x + F(1, 2), F(ny, 2), "v", x).mesh
+    for y in range(1, ny):
+        for x in range(nx):
+            m = split_at(m, h, x + F(1, 2), y + F(1, 2), "h", y).mesh
+    return m, h
+
+
 def grid3x3_history():
     """3x3 unit grid on [0,3]^2 with its construction history."""
-    m, h = t.initial_mesh(0, 0, 3, 3)
-    m = split_at(m, h, F(3, 2), F(3, 2), "v", 1).mesh
-    m = split_at(m, h, 2, F(3, 2), "v", 2).mesh
-    for px in (F(1, 2), F(3, 2), F(5, 2)):
-        m = split_at(m, h, px, F(3, 2), "h", 1).mesh
-    for px in (F(1, 2), F(3, 2), F(5, 2)):
-        m = split_at(m, h, px, 2, "h", 2).mesh
-    return m, h
+    return grid_history(3, 3)
+
+
+def subdivide_cell_3x3(mesh, hist, x0, y0):
+    """Subdivide the unit cell with lower-left corner (x0, y0) into nine equal cells."""
+    a1, a2 = F(1, 3), F(2, 3)
+    m = split_at(mesh, hist, x0 + F(1, 2), y0 + F(1, 2), "v", x0 + a1).mesh
+    m = split_at(m, hist, x0 + F(2, 3), y0 + F(1, 2), "v", x0 + a2).mesh
+    for dx in (F(1, 6), F(1, 2), F(5, 6)):
+        m = split_at(m, hist, x0 + dx, y0 + F(1, 2), "h", y0 + a1).mesh
+    for dx in (F(1, 6), F(1, 2), F(5, 6)):
+        m = split_at(m, hist, x0 + dx, y0 + F(3, 4), "h", y0 + a2).mesh
+    return m
 
 
 def subdivide_center_3x3(mesh, hist):
     """Subdivide the centre unit cell of the 3x3 grid into nine equal cells."""
-    a1, a2 = F(4, 3), F(5, 3)
-    m = split_at(mesh, hist, F(3, 2), F(3, 2), "v", a1).mesh
-    m = split_at(m, hist, F(3, 2) + F(1, 6), F(3, 2), "v", a2).mesh
-    for px in (F(7, 6), F(3, 2), F(11, 6)):
-        m = split_at(m, hist, px, F(3, 2), "h", a1).mesh
-    for px in (F(7, 6), F(3, 2), F(11, 6)):
-        m = split_at(m, hist, px, F(3, 2) + F(1, 4), "h", a2).mesh
-    return m
+    return subdivide_cell_3x3(mesh, hist, 1, 1)
 
 
 _SORT_KEY = lambda r: (r[1], r[0], r[3], r[2])

@@ -47,6 +47,22 @@ def test_dim_search_ordering(ex51_file, capsys):
     assert "dim bounds [15, 15]" in capsys.readouterr().out
 
 
+def test_mis_and_dim_search_report_the_same_ordering(tmp_path, capsys):
+    # Three interior segments; the search minimiser ties the blocking order's
+    # bound, so the report keeps the blocking order, and so must mis.
+    cells = [(0, 0, 64, 4), (0, 4, 36, 16), (36, 4, 48, 7), (48, 4, 64, 16),
+             (36, 7, 48, 16), (0, 16, 16, 64), (16, 16, 64, 64)]
+    path = tmp_path / "tie.tmesh"
+    path.write_text("\n".join(["tmesh 1"] + [f"cell {a} {b} {c} {d}" for a, b, c, d in cells]) + "\n")
+    args = [str(path), "-m", "2", "-n", "2", "--smooth", "1,1", "--ordering", "search", "--json"]
+    assert main(["dim", *args]) == 0
+    dim_ordering = json.loads(capsys.readouterr().out)["ordering"]
+    assert main(["mis", *args]) == 0
+    mis_ranks = {str(rec["id"]): rec["rank"] for rec in json.loads(capsys.readouterr().out)["mis"]}
+    assert len(mis_ranks) == 3
+    assert mis_ranks == dim_ordering
+
+
 def test_validate_overlap(tmp_path, capsys):
     bad = tmp_path / "bad.tmesh"
     bad.write_text("tmesh 1\ncell 0 0 2 2\ncell 1 0 3 2\n")

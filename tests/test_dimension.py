@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -10,8 +12,10 @@ from meshgen import (
     ex19,
     ex51_mesh,
     grid3x3_history,
+    grid_history,
     grid_mesh,
     random_mesh,
+    subdivide_cell_3x3,
     subdivide_center_3x3,
 )
 
@@ -169,6 +173,54 @@ def test_ordering_search_sharpens_bound():
     # search result is deterministic
     again = t.search_ordering(a, dist, (2, 2))
     assert again.index == best.index
+
+
+def _brute_force_ordering(a, dist, degree):
+    """Reference minimiser: every permutation in lexicographic order, first
+    strict minimum of the defect bound."""
+    best = best_index = None
+    for perm in permutations(sorted(a.mis)):
+        index = {sid: rank for rank, sid in enumerate(perm, 1)}
+        total = t.h_upper_bound(a, dist, degree, t.Ordering(index)).total
+        if best is None or total < best:
+            best, best_index = total, index
+    return best_index
+
+
+def test_search_ordering_matches_brute_force():
+    rng = random.Random(46)
+    quota = {1: 6, 2: 6, 3: 6, 4: 6, 5: 6, 6: 4, 7: 2}
+    checked = Counter()
+    while checked != quota:
+        mesh, _ = random_mesh(rng, rng.randrange(2, 22))
+        a = t.analyze_segments(mesh)
+        k = len(a.mis)
+        if checked[k] >= quota.get(k, 0):
+            continue
+        m, n = rng.randrange(1, 5), rng.randrange(1, 5)
+        dist = t.SmoothnessDistribution(
+            mesh,
+            {x: rng.randrange(0, m + 1) for x in mesh.nodes_x},
+            {y: rng.randrange(0, n + 1) for y in mesh.nodes_y},
+        )
+        assert t.search_ordering(a, dist, (m, n)).index == _brute_force_ordering(a, dist, (m, n))
+        checked[k] += 1
+
+
+def test_ordering_search_beyond_eight_segments():
+    # Three disjoint centre subdivisions of a 5x5 grid: 12 interior segments,
+    # each block's appearance order costs 2 where the best order costs 1.
+    mesh, hist = grid_history(5, 5)
+    for corner in ((1, 1), (3, 1), (1, 3)):
+        mesh = subdivide_cell_3x3(mesh, hist, *corner)
+    dist = t.constant_distribution(mesh, 1, 1)
+    assert len(t.analyze_segments(mesh).mis) == 12
+    auto = t.dimension_bounds(mesh, dist, (2, 2), "auto", history=hist)
+    search = t.dimension_bounds(mesh, dist, (2, 2), "search", history=hist)
+    assert search.ordering_source == "search"
+    assert search.h_upper <= auto.h_upper
+    assert (auto.h_upper, search.h_upper) == (6, 3)
+    assert t.h_via_mis_presentation(mesh, dist, (2, 2)) == 3
 
 
 def test_sandwich_on_random_meshes():
