@@ -6,7 +6,7 @@ round-trip losslessly; ``#`` starts a comment anywhere on a line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadRational, TmeshSyntaxError, UnknownDirective, UnknownNode
@@ -49,14 +49,13 @@ class MeshDocument:
     default_smooth: tuple[int, int] | None = None
     smooth_h: tuple = ()
     smooth_v: tuple = ()
-    history: object | None = field(default=None, compare=False)
 
     @staticmethod
-    def make(cells, default_smooth=None, smooth_h=(), smooth_v=(), history=None):
+    def make(cells, default_smooth=None, smooth_h=(), smooth_v=()):
         cells = tuple(sorted(tuple(Fraction(v) for v in rect) for rect in cells))
         smooth_h = tuple(sorted((Fraction(k), int(v)) for k, v in dict(smooth_h).items()))
         smooth_v = tuple(sorted((Fraction(k), int(v)) for k, v in dict(smooth_v).items()))
-        return MeshDocument(cells, default_smooth, smooth_h, smooth_v, history)
+        return MeshDocument(cells, default_smooth, smooth_h, smooth_v)
 
 
 def parse_tmesh(text):

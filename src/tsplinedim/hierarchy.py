@@ -9,7 +9,7 @@ from fractions import Fraction
 from .errors import CoordinateOnCellBoundary, HistoryMismatch, UnknownCell
 from .mesh import HORIZONTAL, VERTICAL, as_fraction, build_mesh
 from .segments import Ordering, analyze_segments, segment_weight
-from .smoothness import resolve_smoothness
+from .smoothness import constant_distribution
 
 NEW_MIS = "new-MIS"
 EXTENDED_MIS = "extended-MIS"
@@ -167,13 +167,13 @@ def _replay(history):
     return state
 
 
-def split_cell(mesh, history, cell_id, direction, coord, kind="split", rule=None):
+def split_cell(mesh, history, cell_id, direction, coord):
     """Split one cell along a horizontal or vertical line strictly inside it.
 
     Existing edges met by the new segment's end points are re-fragmented by
     the rebuild; the history (when given) records the elementary event.
     """
-    event = SplitEvent(cell_id, direction, as_fraction(coord), kind, rule)
+    event = SplitEvent(cell_id, direction, as_fraction(coord))
     outcome = _Replay(mesh).split(event)
     if history is not None:
         history.events.append(event)
@@ -204,10 +204,12 @@ def weighted_split(mesh, history, cell_id, direction, coord, smoothness, degree,
     alternating) until it either reaches the domain boundary or its weight
     under the appearance ordering is at least k (horizontal) / kp (vertical).
     Every hop splits the cell it crosses and is recorded in the history.
-    The history is left unchanged when an error is raised.
+    ``smoothness`` is a ConstantSmoothness or an (r, r') pair.  The history
+    is left unchanged when an error is raised.
     """
     if history is None:
         raise ValueError("the weighted rule needs a history for the appearance ordering")
+    r, rp = smoothness
     events = [SplitEvent(cell_id, direction, as_fraction(coord), "wsplit", (k, kp))]
     state = _Replay(mesh)
     base = state.analysis
@@ -219,7 +221,7 @@ def weighted_split(mesh, history, cell_id, direction, coord, smoothness, degree,
         threshold = k if direction == HORIZONTAL else kp
         at_hi = True
         while outcome.segment.interior:
-            dist = resolve_smoothness(smoothness, state.mesh)
+            dist = constant_distribution(state.mesh, r, rp)
             ordering = state.ordering(state.analysis)
             if segment_weight(state.analysis, dist, degree, ordering, outcome.segment.id).weight >= threshold:
                 break

@@ -1,9 +1,11 @@
 """Sparse exact-rational matrices and fraction-free rank computation.
 
-All ranks in this package are computed over the rationals with integer
-arithmetic only: every row is scaled to a primitive integer vector and
-elimination uses cross-multiplication followed by content removal, so no
-floating point and no tolerance enters anywhere.
+A matrix is a list of rows, one ``{col: value}`` dict each, and every value
+is the ``int`` or ``Fraction`` it was given.  All ranks in this package are
+computed over the rationals with integer arithmetic only: every row is
+scaled to a primitive integer vector and elimination uses cross-multiplication
+followed by content removal, so no floating point and no tolerance enters
+anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ _denominator = attrgetter("denominator")
 
 
 class SparseRationalMatrix:
-    """Rational matrix stored as (row, col) -> Fraction, zeros omitted.
+    """Rational matrix stored as one {col: int or Fraction} dict per row,
+    zeros omitted.  Iterating over it yields those row dicts.
 
     Only the shape and the nonzero entries are kept; ``dump_triplets`` is
     the text form behind ``--dump-matrix``.
@@ -25,46 +28,44 @@ class SparseRationalMatrix:
     def __init__(self, nrows, ncols):
         self.nrows = nrows
         self.ncols = ncols
-        self.entries: dict[tuple[int, int], Fraction] = {}
+        self._rows: list[dict[int, int | Fraction]] = [{} for _ in range(nrows)]
+
+    def __iter__(self):
+        return iter(self._rows)
 
     def set(self, row, col, value):
         if not 0 <= row < self.nrows or not 0 <= col < self.ncols:
             raise IndexError((row, col))
-        value = Fraction(value)
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"entry {value!r} is not an int or a Fraction")
         if value:
-            self.entries[(row, col)] = value
+            self._rows[row][col] = value
         else:
-            self.entries.pop((row, col), None)
+            self._rows[row].pop(col, None)
 
     def add(self, row, col, value):
-        current = self.entries.get((row, col), Fraction(0))
-        self.set(row, col, current + value)
+        self.set(row, col, self._rows[row].get(col, 0) + value)
 
     @property
     def nnz(self):
-        return len(self.entries)
-
-    def rows(self):
-        """Entries grouped by row index, as {col: Fraction} dicts."""
-        grouped: dict[int, dict[int, Fraction]] = {}
-        for (r, c), v in self.entries.items():
-            grouped.setdefault(r, {})[c] = v
-        return grouped
+        return sum(map(len, self._rows))
 
     def dump_triplets(self):
         """Text form: header ``rows cols`` then sorted ``r c num/den`` lines."""
         lines = [f"{self.nrows} {self.ncols}"]
-        for (r, c) in sorted(self.entries):
-            v = self.entries[(r, c)]
-            lines.append(f"{r} {c} {v.numerator}/{v.denominator}")
+        for r, row in enumerate(self._rows):
+            for c in sorted(row):
+                v = row[c]
+                lines.append(f"{r} {c} {v.numerator}/{v.denominator}")
         return "\n".join(lines) + "\n"
 
 
 def _primitive_int_row(row):
-    """Scale a {col: rational} row to a content-free {col: int} row.
+    """Scale a {col: int or Fraction} row to a content-free {col: int} row.
 
-    Zero entries are dropped: a column is live only where the row has a
-    nonzero value, so a pivot is never taken on a zero.
+    This is the one place where rational entries become integers.  Zero
+    entries are dropped: a column is live only where the row has a nonzero
+    value, so a pivot is never taken on a zero.
     """
     denom = lcm(*map(_denominator, row.values()))
     ints = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
@@ -74,17 +75,15 @@ def _primitive_int_row(row):
     return ints
 
 
-def rational_rank(matrix):
+def rational_rank(rows):
     """Exact rank over Q via sparse fraction-free elimination.
 
-    ``matrix`` is a SparseRationalMatrix or an iterable of {col: value}
-    rows with int or Fraction values.  Pivots are chosen Markowitz-style
-    (sparsest column, then sparsest row in it) with index tie-breaks, so the
-    elimination order is deterministic.
+    ``rows`` is an iterable of {col: value} dicts with int or Fraction
+    values, such as a SparseRationalMatrix.  Pivots are chosen
+    Markowitz-style (sparsest column, then sparsest row in it) with index
+    tie-breaks, so the elimination order is deterministic.
     """
-    if isinstance(matrix, SparseRationalMatrix):
-        matrix = matrix.rows().values()
-    rows = [row for row in map(_primitive_int_row, matrix) if row]
+    rows = [row for row in map(_primitive_int_row, rows) if row]
 
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):

@@ -142,13 +142,12 @@ class TMesh:
     identical meshes.
     """
 
-    def __init__(self, cells, edges, vertices, nodes_x, nodes_y, boundary_cycle):
+    def __init__(self, cells, edges, vertices, nodes_x, nodes_y):
         self.cells: tuple[Cell, ...] = cells
         self.edges: tuple[Edge, ...] = edges
         self.vertices: tuple[Vertex, ...] = vertices
         self.nodes_x: tuple[Fraction, ...] = nodes_x
         self.nodes_y: tuple[Fraction, ...] = nodes_y
-        self.boundary_cycle: tuple[int, ...] = boundary_cycle
         self._vertex_at = {(v.x, v.y): v.id for v in vertices}
         self.interior_edges = tuple(e.id for e in edges if e.interior)
         self.interior_vertices = tuple(v.id for v in vertices if v.interior)
@@ -353,25 +352,26 @@ def build_mesh(rectangles):
     if anomalies:
         raise DanglingGeometry("; ".join(anomalies))
 
-    boundary_cycle = _walk_boundary(edges, vertices)
+    _walk_boundary(edges)
 
     nodes_x = tuple(sorted({e.coord for e in edges if e.direction == VERTICAL}))
     nodes_y = tuple(sorted({e.coord for e in edges if e.direction == HORIZONTAL}))
-    return TMesh(cells, edges, vertices, nodes_x, nodes_y, boundary_cycle)
+    return TMesh(cells, edges, vertices, nodes_x, nodes_y)
 
 
-def _walk_boundary(edges, vertices):
+def _walk_boundary(edges):
+    """Walk the boundary edges once round; raise unless they form one cycle."""
     boundary = [e for e in edges if not e.interior]
     at_vertex: dict[int, list[int]] = {}
     for e in boundary:
         at_vertex.setdefault(e.start, []).append(e.id)
         at_vertex.setdefault(e.end, []).append(e.id)
     start_vertex = min(at_vertex)
-    cycle = []
+    walked = 0
     prev_vertex = start_vertex
     edge = edges[min(at_vertex[start_vertex])]
     while True:
-        cycle.append(edge.id)
+        walked += 1
         nxt = edge.end if edge.start == prev_vertex else edge.start
         if nxt == start_vertex:
             break
@@ -380,9 +380,8 @@ def _walk_boundary(edges, vertices):
             raise DanglingGeometry(f"boundary walk stuck at vertex {nxt}")
         prev_vertex = nxt
         edge = edges[candidates[0]]
-    if len(cycle) != len(boundary):
+    if walked != len(boundary):
         raise DomainNotSimplyConnected("boundary edges form more than one cycle")
-    return tuple(cycle)
 
 
 def stats(mesh):

@@ -24,7 +24,8 @@ def build_spline_system(mesh, dist, degree):
     One column per (cell, monomial s^i t^j); for each interior edge the rows
     are the coefficients of the cell-difference in the shifted basis at the
     edge's supporting line, truncated to the smoothness order.  The sign
-    convention takes the lower-id cell positively.
+    convention takes the lower-id cell positively.  Entries are ints on
+    integer lines and Fractions elsewhere.
     """
     m, n = degree
     block = (m + 1) * (n + 1)
@@ -47,18 +48,20 @@ def build_spline_system(mesh, dist, degree):
         e = mesh.edges[eid]
         offset, span = rows_per_edge[eid]
         low, high = e.cells
-        a = e.coord
+        a = e.coord.numerator if e.coord.denominator == 1 else e.coord
+        # Each entry is written once: a row touches two different cells, and
+        # inside one cell each j (or i) names a different monomial.
         for sign, cell in ((1, low), (-1, high)):
             base = cell * block
             if e.horizontal:
                 # rows (i, l): coefficient of s^i (t-a)^l in the difference
                 for pos, (i, l) in enumerate(span):
                     for j in range(l, n + 1):
-                        matrix.add(offset + pos, base + i * (n + 1) + j, sign * comb(j, l) * a ** (j - l))
+                        matrix.set(offset + pos, base + i * (n + 1) + j, sign * comb(j, l) * a ** (j - l))
             else:
                 for pos, (k, j) in enumerate(span):
                     for i in range(k, m + 1):
-                        matrix.add(offset + pos, base + i * (n + 1) + j, sign * comb(i, k) * a ** (i - k))
+                        matrix.set(offset + pos, base + i * (n + 1) + j, sign * comb(i, k) * a ** (i - k))
     return matrix
 
 

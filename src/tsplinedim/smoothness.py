@@ -9,7 +9,6 @@ constraint simply saturates.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import UnknownNode
@@ -58,19 +57,16 @@ class SmoothnessDistribution:
         return None
 
 
-@dataclass(frozen=True)
-class ConstantSmoothness:
-    """Mesh-independent constant smoothness; binds to any mesh.
+class ConstantSmoothness(NamedTuple):
+    """Mesh-independent constant smoothness, the same thing as an (r, r') pair.
 
-    Used where the mesh is still changing (the weighted subdivision rule
-    re-evaluates weights after every extension hop).
+    This is the form the weighted subdivision rule takes: the mesh changes
+    after every extension hop, so each hop builds a fresh
+    ``constant_distribution`` from it.
     """
 
     r: int
     rp: int
-
-    def bind(self, mesh):
-        return constant_distribution(mesh, self.r, self.rp)
 
 
 def constant_distribution(mesh, r, rp):
@@ -81,18 +77,6 @@ def constant_distribution(mesh, r, rp):
         {x: r for x in mesh.nodes_x},
         {y: rp for y in mesh.nodes_y},
     )
-
-
-def resolve_smoothness(spec, mesh):
-    """Accept a ConstantSmoothness, an (r, r') pair, or a bound distribution."""
-    if isinstance(spec, SmoothnessDistribution):
-        if spec.mesh is not mesh:
-            return SmoothnessDistribution(mesh, spec.r_h, spec.r_v)
-        return spec
-    if isinstance(spec, ConstantSmoothness):
-        return spec.bind(mesh)
-    r, rp = spec
-    return constant_distribution(mesh, r, rp)
 
 
 def edge_smoothness(dist, edge):

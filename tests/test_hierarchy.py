@@ -10,6 +10,7 @@ from tsplinedim.errors import CoordinateOnCellBoundary, HistoryMismatch, Unknown
 from meshgen import (
     ex51_mesh,
     grid3x3_history,
+    grid_history,
     random_history,
     random_mesh,
     split_at,
@@ -198,6 +199,25 @@ def test_weighted_split_history_mismatch_leaves_history_unchanged():
     with pytest.raises(HistoryMismatch):
         t.weighted_split(grid, short, center.id, "v", F(4, 3), smooth, t.Degree(2, 2), 3, 3)
     assert len(short.events) == len(hist.events) - 1
+
+
+def test_weighted_split_takes_constant_smoothness_only():
+    # The split at x = 3/2 adds a node line: a distribution bound to the mesh
+    # before the split cannot describe the meshes after it, so the rule takes
+    # constant smoothness and binds it to each new mesh itself.
+    for smooth in (t.ConstantSmoothness(1, 1), (1, 1)):
+        mesh, hist = grid_history(4, 4)
+        cell = mesh.cell_containing(F(3, 2), F(3, 2))
+        out = t.weighted_split(mesh, hist, cell.id, "v", F(3, 2), smooth, (2, 2), 3, 3)
+        assert out.classification == t.NEW_MIS
+        assert sorted(hist.replay().cell_rects()) == sorted(out.mesh.cell_rects())
+    mesh, hist = grid_history(4, 4)
+    cell = mesh.cell_containing(F(3, 2), F(3, 2))
+    events = list(hist.events)
+    dist = t.constant_distribution(mesh, 1, 1)
+    with pytest.raises(TypeError):
+        t.weighted_split(mesh, hist, cell.id, "v", F(3, 2), dist, (2, 2), 3, 3)
+    assert hist.events == events
 
 
 def test_isolated_segment_count():

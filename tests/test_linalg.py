@@ -89,3 +89,27 @@ def test_tall_dense_shifted_power_matrices():
             for j in range(n - d + 1):
                 rows.append({j + i: c for i, c in enumerate(base)})
         _assert_rank(rows, n + 1)
+
+
+def test_entries_are_ints_or_fractions():
+    matrix = SparseRationalMatrix(2, 2)
+    for value in (0.1, "1/2", 1.0):
+        with pytest.raises(TypeError):
+            matrix.set(0, 0, value)
+    with pytest.raises(TypeError):
+        matrix.add(0, 0, 0.5)
+    assert matrix.nnz == 0
+
+
+def test_add_accumulates_cancelled_entries_vanish_ints_dump_over_one():
+    matrix = SparseRationalMatrix(2, 3)
+    matrix.add(0, 1, 2)
+    matrix.add(0, 1, F(1, 3))
+    matrix.add(1, 2, F(1, 2))
+    matrix.add(1, 2, F(-1, 2))
+    matrix.set(1, 0, 5)
+    matrix.set(1, 0, 0)
+    matrix.set(1, 1, -4)
+    assert matrix.nnz == 2
+    assert list(matrix) == [{1: F(7, 3)}, {1: -4}]
+    assert matrix.dump_triplets() == "2 3\n0 1 7/3\n1 1 -4/1\n"
