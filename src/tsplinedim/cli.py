@@ -23,6 +23,7 @@ from .formats import (
     parse_tmesh,
     parse_tsub,
 )
+from .linalg import rational_rank
 from .mesh import check_counting_identities, stats as mesh_stats
 from .segments import analyze_segments, blocking, segment_weight
 from .svg import render_svg
@@ -70,7 +71,7 @@ def _build_parser():
     p_sub.add_argument("--smooth", metavar="R,R'", help="constant smoothness (for weighted splits)")
     p_sub.add_argument("--weighted", metavar="K,K'", help="run every split through the (k,k') rule")
     p_sub.add_argument("--emit-history", metavar="PATH", help="write the expanded elementary history")
-    common(sub.add_parser("svg", help="render the mesh as SVG"))
+    sub.add_parser("svg", help="render the mesh as SVG").add_argument("file", help="input file")
     return parser
 
 
@@ -216,12 +217,13 @@ def cmd_dim(args, parser):
     degree = (args.m, args.n)
     history = _history_for(args, parser)
     report = dimension.dimension_bounds(mesh, dist, degree, args.ordering, history)
-    if args.dump_matrix:
+    if args.dump_matrix or args.exact:
         system = oracle.build_spline_system(mesh, dist, degree)
+    if args.dump_matrix:
         with open(args.dump_matrix, "w", encoding="utf-8") as fh:
             fh.write(system.dump_triplets())
     if args.exact:
-        dim_value = oracle.spline_dimension_exact(mesh, dist, degree)
+        dim_value = system.ncols - rational_rank(system)
         h_value = dim_value - report.combinatorial
         certificate = report.certificate
         if certificate == dimension.CERT_NONE:

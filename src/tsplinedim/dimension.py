@@ -162,7 +162,7 @@ def search_ordering(analysis, dist, degree):
         i = next(i for total, i in totals(placed) if total == best[placed])
         order.append(mis[i])
         placed ^= 1 << i
-    return Ordering({sid: rank for rank, sid in enumerate(order, 1)}, "search", False)
+    return Ordering({sid: rank for rank, sid in enumerate(order, 1)}, "search")
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,6 @@ class DimensionReport:
     certificate: str
     ordering: dict[int, int]
     ordering_source: str
-    cyclic_blocking: bool
     per_segment: tuple[SegmentContribution, ...]
     dim_exact: int | None = None
     h_exact: int | None = None
@@ -283,6 +282,5 @@ def dimension_bounds(mesh, dist, degree, ordering_policy="auto", history=None, a
         certificate=certificate.name,
         ordering=dict(ordering.index),
         ordering_source=ordering.source,
-        cyclic_blocking=ordering.cyclic,
         per_segment=bound.per_segment,
     )

@@ -96,6 +96,8 @@ def parse_tmesh(text):
                 raise TmeshSyntaxError("smoothness order must be nonnegative", number)
         else:
             raise UnknownDirective(f"unknown directive {directive!r}", number)
+    if not cells:
+        raise TmeshSyntaxError("no 'cell' line: a tmesh needs at least one cell")
     return MeshDocument.make(cells, default_smooth, smooth_h, smooth_v)
 
 

@@ -157,7 +157,7 @@ class _Replay:
                 raise HistoryMismatch(f"segment {sid} has no unique replay record")
             births.append((birth, sid))
         births.sort()
-        return Ordering({sid: i + 1 for i, (_, sid) in enumerate(births)}, "appearance", False)
+        return Ordering({sid: i + 1 for i, (_, sid) in enumerate(births)}, "appearance")
 
 
 def _replay(history):

@@ -1,9 +1,9 @@
 """T-mesh construction, validation, classification and face counts.
 
-A T-mesh is entered as a bare list of axis-aligned rational rectangles; all
-edges and vertices are derived by fragmenting cell sides at every corner
-point that lands on them, then deduplicating the fragments across adjacent
-cells.  Coordinates are exact rationals throughout, so incidence tests never
+A T-mesh is entered as a bare list of axis-aligned rational rectangles.
+The vertices are the cell corners; the edges are the cell sides cut at every
+corner that lands on them, with the fragments shared by adjacent cells
+merged.  Coordinates are exact rationals throughout, so incidence tests never
 depend on tolerances.
 """
 
@@ -55,10 +55,6 @@ class Vertex:
     def interior(self):
         return self.kind in (CROSSING, T_VERTEX)
 
-    @property
-    def degree(self):
-        return len(self.h_edges) + len(self.v_edges)
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -84,15 +80,10 @@ class Cell:
     y0: Fraction
     x1: Fraction
     y1: Fraction
-    boundary_edges: tuple[int, ...]  # counter-clockwise from the bottom-left corner
 
     @property
     def rect(self):
         return (self.x0, self.y0, self.x1, self.y1)
-
-    def contains(self, x, y):
-        """True when (x, y) lies in the closed cell."""
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
 
 @dataclass(frozen=True)
@@ -137,9 +128,9 @@ class IdentityReport:
 class TMesh:
     """Immutable planar T-mesh with classified faces.
 
-    Canonical ids: vertices sorted by (y, x), cells by (y0, x0), edges by
-    their (start, end) coordinate tuples, so identical input cell lists give
-    identical meshes.
+    The vertices are exactly the cell corners.  Canonical ids: vertices
+    sorted by (y, x), cells by (y0, x0), edges by their (start, end) vertex
+    ids, so identical input cell lists give identical meshes.
     """
 
     def __init__(self, cells, edges, vertices, nodes_x, nodes_y):
@@ -148,13 +139,13 @@ class TMesh:
         self.vertices: tuple[Vertex, ...] = vertices
         self.nodes_x: tuple[Fraction, ...] = nodes_x
         self.nodes_y: tuple[Fraction, ...] = nodes_y
-        self._vertex_at = {(v.x, v.y): v.id for v in vertices}
         self.interior_edges = tuple(e.id for e in edges if e.interior)
         self.interior_vertices = tuple(v.id for v in vertices if v.interior)
 
     def vertex_at(self, x, y):
         """Vertex id at an exact position, or None."""
-        return self._vertex_at.get((as_fraction(x), as_fraction(y)))
+        position = (as_fraction(x), as_fraction(y))
+        return next((v.id for v in self.vertices if v.position == position), None)
 
     def cell_rects(self):
         return [c.rect for c in self.cells]
@@ -210,90 +201,78 @@ def build_mesh(rectangles):
     rects = _normalize_rects(rectangles)
     _check_overlaps(rects)
 
+    # The vertices are the cell corners: every fragment below ends at a
+    # corner on its line, and every corner ends its own cell's side
+    # fragments.  Walking the corners in (y, x) order gives the canonical
+    # vertex ids and fills both per-line lists already sorted.
     corners = set()
     for x0, y0, x1, y1 in rects:
         corners.update(((x0, y0), (x1, y0), (x0, y1), (x1, y1)))
+    points = sorted(corners, key=lambda p: (p[1], p[0]))
+    vid_at = {}
     xs_at_y: dict[Fraction, list[Fraction]] = {}
     ys_at_x: dict[Fraction, list[Fraction]] = {}
-    for x, y in corners:
+    for vid, (x, y) in enumerate(points):
+        vid_at[(x, y)] = vid
         xs_at_y.setdefault(y, []).append(x)
         ys_at_x.setdefault(x, []).append(y)
-    for lst in xs_at_y.values():
-        lst.sort()
-    for lst in ys_at_x.values():
-        lst.sort()
 
     # Fragment each cell side at every corner point on it; key fragments by
-    # (direction, line coordinate, span) and collect adjacent cells.
-    fragments: dict[tuple, list[tuple[int, str]]] = {}
+    # (direction, line coordinate, span) and collect the owner cell ids.
+    fragments: dict[tuple, list[int]] = {}
 
-    def side(cell_id, direction, coord, lo, hi, which):
+    def side(cell_id, direction, coord, lo, hi):
         pts = xs_at_y[coord] if direction == HORIZONTAL else ys_at_x[coord]
         span = [p for p in pts if lo <= p <= hi]
         for a, b in zip(span, span[1:]):
-            fragments.setdefault((direction, coord, a, b), []).append((cell_id, which))
+            fragments.setdefault((direction, coord, a, b), []).append(cell_id)
 
     for ci, (x0, y0, x1, y1) in enumerate(rects):
-        side(ci, HORIZONTAL, y0, x0, x1, "bottom")
-        side(ci, HORIZONTAL, y1, x0, x1, "top")
-        side(ci, VERTICAL, x0, y0, y1, "left")
-        side(ci, VERTICAL, x1, y0, y1, "right")
+        side(ci, HORIZONTAL, y0, x0, x1)
+        side(ci, HORIZONTAL, y1, x0, x1)
+        side(ci, VERTICAL, x0, y0, y1)
+        side(ci, VERTICAL, x1, y0, y1)
 
+    # Edges sorted by their (start, end) vertex ids, which is the (y, x)
+    # order of their end points.
+    spans = []
     for key, owners in fragments.items():
         if len(owners) > 2:
             raise OverlappingCells(f"edge fragment {key} claimed by {len(owners)} cells")
-
-    # Vertices: fragment endpoints, sorted by (y, x).
-    points = set()
-    for direction, coord, a, b in fragments:
-        if direction == HORIZONTAL:
-            points.update(((a, coord), (b, coord)))
-        else:
-            points.update(((coord, a), (coord, b)))
-    ordered_points = sorted(points, key=lambda p: (p[1], p[0]))
-    vid_at = {p: i for i, p in enumerate(ordered_points)}
-
-    edge_keys = sorted(
-        fragments,
-        key=lambda k: (k[1], k[2], k[1], k[3]) if k[0] == HORIZONTAL else (k[2], k[1], k[3], k[1]),
-    )
-    edge_records = []
-    h_edges_of: dict[int, list[int]] = {}
-    v_edges_of: dict[int, list[int]] = {}
-    for eid, key in enumerate(edge_keys):
         direction, coord, lo, hi = key
         if direction == HORIZONTAL:
             start, end = vid_at[(lo, coord)], vid_at[(hi, coord)]
         else:
             start, end = vid_at[(coord, lo)], vid_at[(coord, hi)]
-        cells_here = tuple(sorted(ci for ci, _ in fragments[key]))
-        interior = len(cells_here) == 2
-        edge_records.append((eid, start, end, direction, interior, cells_here, coord, lo, hi))
-        bucket = h_edges_of if direction == HORIZONTAL else v_edges_of
-        bucket.setdefault(start, []).append(eid)
-        bucket.setdefault(end, []).append(eid)
+        spans.append((start, end, key, tuple(sorted(owners))))
+    spans.sort(key=lambda s: (s[0], s[1]))
+    edges = []
+    h_edges_of: list[list[int]] = [[] for _ in points]
+    v_edges_of: list[list[int]] = [[] for _ in points]
+    for eid, (start, end, (direction, coord, lo, hi), owners) in enumerate(spans):
+        edges.append(Edge(eid, start, end, direction, len(owners) == 2, owners, coord, lo, hi))
+        incident = h_edges_of if direction == HORIZONTAL else v_edges_of
+        incident[start].append(eid)
+        incident[end].append(eid)
+    edges = tuple(edges)
 
     # Classify vertices; incidence anomalies are reported only after the
     # connectivity and Euler checks, which give more specific errors.
-    boundary_touch = set()
-    for eid, start, end, direction, interior, cells_here, coord, lo, hi in edge_records:
-        if not interior:
-            boundary_touch.update((start, end))
     vertices = []
     anomalies = []
-    for vid, (x, y) in enumerate(ordered_points):
-        h_list = tuple(sorted(h_edges_of.get(vid, ())))
-        v_list = tuple(sorted(v_edges_of.get(vid, ())))
+    for vid, (x, y) in enumerate(points):
+        h_list, v_list = tuple(h_edges_of[vid]), tuple(v_edges_of[vid])
         if not h_list or not v_list:
             anomalies.append(f"vertex ({x}, {y}) misses a horizontal or vertical edge")
+        h_boundary = sum(1 for eid in h_list if not edges[eid].interior)
+        v_boundary = sum(1 for eid in v_list if not edges[eid].interior)
         degree = len(h_list) + len(v_list)
-        if vid in boundary_touch:
-            n_boundary = sum(1 for eid in h_list + v_list if not edge_records[eid][4])
-            if n_boundary != 2:
-                anomalies.append(f"boundary vertex ({x}, {y}) has {n_boundary} boundary edges")
-            has_h_bdry = any(not edge_records[eid][4] for eid in h_list)
-            has_v_bdry = any(not edge_records[eid][4] for eid in v_list)
-            kind = CORNER if (has_h_bdry and has_v_bdry) else BOUNDARY
+        if h_boundary or v_boundary:
+            if h_boundary + v_boundary != 2:
+                anomalies.append(
+                    f"boundary vertex ({x}, {y}) has {h_boundary + v_boundary} boundary edges"
+                )
+            kind = CORNER if (h_boundary and v_boundary) else BOUNDARY
         elif degree == 4:
             kind = CROSSING
         elif degree == 3:
@@ -303,29 +282,7 @@ def build_mesh(rectangles):
             kind = T_VERTEX
         vertices.append(Vertex(vid, x, y, kind, h_list, v_list))
     vertices = tuple(vertices)
-
-    edges = tuple(
-        Edge(eid, start, end, direction, interior, cells_here, coord, lo, hi)
-        for eid, start, end, direction, interior, cells_here, coord, lo, hi in edge_records
-    )
-
-    # Cell boundary cycles, counter-clockwise from the bottom-left corner.
-    per_cell: dict[int, dict[str, list[int]]] = {ci: {} for ci in range(len(rects))}
-    for e in edges:
-        for ci, which in fragments[(e.direction, e.coord, e.lo, e.hi)]:
-            per_cell[ci].setdefault(which, []).append(e.id)
-    cells = []
-    for ci, (x0, y0, x1, y1) in enumerate(rects):
-        sides = per_cell[ci]
-        order = lambda eids: sorted(eids, key=lambda i: edges[i].lo)
-        cycle = (
-            order(sides["bottom"])
-            + order(sides["right"])
-            + list(reversed(order(sides["top"])))
-            + list(reversed(order(sides["left"])))
-        )
-        cells.append(Cell(ci, x0, y0, x1, y1, tuple(cycle)))
-    cells = tuple(cells)
+    cells = tuple(Cell(ci, *rect) for ci, rect in enumerate(rects))
 
     # Dual connectivity over shared interior edges.
     adjacency: dict[int, set[int]] = {ci: set() for ci in range(len(cells))}
@@ -354,9 +311,8 @@ def build_mesh(rectangles):
 
     _walk_boundary(edges)
 
-    nodes_x = tuple(sorted({e.coord for e in edges if e.direction == VERTICAL}))
-    nodes_y = tuple(sorted({e.coord for e in edges if e.direction == HORIZONTAL}))
-    return TMesh(cells, edges, vertices, nodes_x, nodes_y)
+    # Every corner has a vertical and a horizontal cell side through it.
+    return TMesh(cells, edges, vertices, tuple(sorted(ys_at_x)), tuple(xs_at_y))
 
 
 def _walk_boundary(edges):

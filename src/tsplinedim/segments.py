@@ -123,14 +123,13 @@ class Ordering:
 
     index: dict[int, int] = field(default_factory=dict)
     source: str = "topological"
-    cyclic: bool = False
 
 
 def default_ordering(analysis, history=None):
     """Appearance order when a history is supplied, else blocking-topological.
 
-    Cyclic blocking falls back to the canonical segment order and sets the
-    ``cyclic`` flag.
+    Cyclic blocking falls back to the canonical segment order, with source
+    "canonical".
     """
     if history is not None:
         from .hierarchy import appearance_ordering
@@ -153,8 +152,8 @@ def default_ordering(analysis, history=None):
                 ready.append(nxt)
         ready.sort()
     if len(order) != len(mis):
-        return Ordering({sid: i + 1 for i, sid in enumerate(sorted(mis))}, "canonical", True)
-    return Ordering({sid: i + 1 for i, sid in enumerate(order)}, "topological", False)
+        return Ordering({sid: i + 1 for i, sid in enumerate(sorted(mis))}, "canonical")
+    return Ordering({sid: i + 1 for i, sid in enumerate(order)}, "topological")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ class Degree(NamedTuple):
 
 class SmoothnessDistribution:
     def __init__(self, mesh, r_h, r_v):
-        self.mesh = mesh
         self.r_h = {as_fraction(k): operator.index(v) for k, v in r_h.items()}
         self.r_v = {as_fraction(k): operator.index(v) for k, v in r_v.items()}
         for x in mesh.nodes_x:

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import random
 
 import pytest
 
+from tsplinedim import oracle
 from tsplinedim.cli import main
 
 from meshgen import EX11_CELLS, EX51_CELLS
@@ -173,3 +175,112 @@ def test_non_utf8_input_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"cannot read {bad}" in captured.err
+
+
+def test_dump_matrix_with_exact_assembles_once(ex51_file, tmp_path, monkeypatch, capsys):
+    calls = []
+    build = oracle.build_spline_system
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "build_spline_system", counting)
+    target = tmp_path / "system.txt"
+    argv = ["dim", ex51_file, "-m", "2", "-n", "2", "--smooth", "1,1", "--exact",
+            "--dump-matrix", str(target)]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert "dim 15" in capsys.readouterr().out
+    assert target.read_text().startswith("30 36\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "stats", "mis", "dim", "svg"])
+def test_header_only_tmesh_is_a_syntax_error(command, tmp_path, capsys):
+    path = tmp_path / "empty.tmesh"
+    path.write_text("tmesh 1\ndefault-smooth 1 1  # but no cell\n")
+    args = [str(path)] + (["-m", "2", "-n", "2"] if command in ("mis", "dim") else [])
+    assert main([command, *args]) == 1
+    assert capsys.readouterr().out.startswith("TmeshSyntaxError: no 'cell' line")
+    if command != "svg":
+        assert main([command, *args, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "TmeshSyntaxError"
+
+
+def test_svg_takes_no_json_flag(ex11_file, capsys):
+    assert main(["svg", ex11_file, "--json"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+_FUZZ_COORDS = ("0", "1", "2", "3", "1/2", "3/2", "0", "1", "2", "-1", "1/0", "x", "0.5")
+_FUZZ_INTS = ("0", "1", "2", "3", "1", "-1", "x")
+_FUZZ_DIRECTIVES = {
+    "tmesh": {
+        "cell": (_FUZZ_COORDS,) * 4,
+        "smooth": (("h", "v", "d"), _FUZZ_COORDS, _FUZZ_INTS),
+        "default-smooth": (_FUZZ_INTS,) * 2,
+    },
+    "tsub": {
+        "init": (_FUZZ_COORDS,) * 4,
+        "split": (_FUZZ_INTS, ("h", "v", "d"), _FUZZ_COORDS),
+        "wsplit": (_FUZZ_INTS, ("h", "v", "d"), _FUZZ_COORDS, _FUZZ_INTS, _FUZZ_INTS),
+    },
+}
+
+
+def _fuzz_lines(rng, kind):
+    """A well-formed body half of the time, random directives otherwise."""
+    well_formed = rng.random() < 0.5
+    if well_formed and kind == "tmesh":
+        nx, ny = rng.randrange(1, 4), rng.randrange(1, 3)
+        return [f"cell {i} {j} {i + 1} {j + 1}" for i in range(nx) for j in range(ny)]
+    if well_formed:
+        lines = ["init 0 0 2 2"]
+        for _ in range(rng.randrange(4)):
+            split = f"{rng.randrange(3)} {rng.choice('hv')} {rng.choice(('1/2', '1', '3/2'))}"
+            lines.append(f"wsplit {split} 2 2" if rng.random() < 0.3 else f"split {split}")
+        return lines
+    directives = _FUZZ_DIRECTIVES[kind]
+    lines = []
+    for _ in range(rng.randrange(1, 6)):
+        name = rng.choice(list(directives) + ["bogus"])
+        tokens = [rng.choice(pool) for pool in directives.get(name, (_FUZZ_COORDS,))]
+        lines.append(" ".join([name, *tokens]))
+    return lines
+
+
+def _fuzz_text(rng, index):
+    kind = rng.choice(("tmesh", "tsub"))
+    header = f"{kind} 1" if rng.random() < 0.9 else " ".join(rng.choices(("tmesh", "tsub", "1", "2"), k=2))
+    if index % 8 == 0:  # header only, now and then with a comment or a smoothness line
+        lines = [header, *rng.choice(([], ["# nothing else"], ["default-smooth 1 1"]))]
+        return "\n".join(lines) + "\n"
+    lines = [header, *_fuzz_lines(rng, kind)]
+    if rng.random() < 0.3:  # one token swapped, dropped or added
+        row = rng.randrange(1, len(lines))
+        tokens = lines[row].split()
+        at = rng.randrange(len(tokens))
+        tokens[at:at + 1] = rng.choice(([rng.choice(_FUZZ_COORDS + _FUZZ_INTS)], [], [tokens[at], "1"]))
+        lines[row] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_token_fuzz_never_raises(tmp_path, capsys):
+    rng = random.Random(7)
+    path = tmp_path / "fuzz.txt"
+    codes = set()
+    for index in range(300):
+        text = _fuzz_text(rng, index)
+        path.write_text(text)
+        space = ["-m", "2", "-n", "2", "--smooth", rng.choice(("1,1", "0,1", "1,1", "1", "-1,1"))]
+        weighted = ["--weighted", "2,2"] if index % 2 else []
+        for argv in (["validate", str(path)], ["dim", str(path), *space],
+                     ["subdivide", str(path), *space, *weighted]):
+            try:
+                code = main(argv)
+            except Exception as exc:  # any escape is the failure under test
+                pytest.fail(f"{argv[0]} on {text!r} raised {exc!r}")
+            assert code in (0, 1, 2), (argv[0], text, code)
+            codes.add(code)
+        capsys.readouterr()
+    assert codes == {0, 1, 2}

@@ -98,7 +98,7 @@ def test_h_bound_invariant_under_disjoint_swap():
     assert not set(a.segments[first].vertices) & set(a.segments[second].vertices)
     swapped_index = dict(order.index)
     swapped_index[first], swapped_index[second] = 2, 1
-    swapped = t.Ordering(swapped_index, "topological", False)
+    swapped = t.Ordering(swapped_index, "topological")
     assert (
         t.h_upper_bound(a, dist, (2, 2), swapped).total
         == t.h_upper_bound(a, dist, (2, 2), order).total

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,7 +11,16 @@ from tsplinedim.errors import (
     OverlappingCells,
 )
 
-from meshgen import EX11_CELLS, L_CELLS, RING_CELLS, ex11_mesh, grid_mesh, random_mesh
+from meshgen import (
+    EX11_CELLS,
+    EX51_CELLS,
+    L_CELLS,
+    PINWHEEL_CELLS,
+    RING_CELLS,
+    ex11_mesh,
+    grid_mesh,
+    random_mesh,
+)
 
 
 def test_single_cell():
@@ -120,11 +130,12 @@ def test_incidence_invariants():
                 )
                 assert n_boundary == 2
         for cell in mesh.cells:
-            cycle = cell.boundary_edges
-            assert len(set(cycle)) == len(cycle)
-            covered = sum(
-                mesh.edges[eid].hi - mesh.edges[eid].lo for eid in cycle
-            )
+            own = [e for e in mesh.edges if cell.id in e.cells]
+            for e in own:
+                lo, hi = (cell.x0, cell.x1) if e.horizontal else (cell.y0, cell.y1)
+                assert e.coord in ((cell.y0, cell.y1) if e.horizontal else (cell.x0, cell.x1))
+                assert lo <= e.lo < e.hi <= hi
+            covered = sum(e.hi - e.lo for e in own)
             assert covered == 2 * (cell.x1 - cell.x0) + 2 * (cell.y1 - cell.y0)
 
 
@@ -155,3 +166,77 @@ def test_euler_on_random_meshes():
     for _ in range(20):
         mesh, _ = random_mesh(rng, rng.randrange(1, 20))
         assert t.stats(mesh).euler == 1
+
+
+def _join(values):
+    return " ".join(map(str, values))
+
+
+def _record_text(mesh):
+    """Every record field a build derives, one line per record."""
+    lines = [f"cell {c.id} {c.x0} {c.y0} {c.x1} {c.y1}" for c in mesh.cells]
+    lines += [
+        f"edge {e.id} {e.start} {e.end} {e.direction} {e.interior} {_join(e.cells)}"
+        f" {e.coord} {e.lo} {e.hi}"
+        for e in mesh.edges
+    ]
+    lines += [
+        f"vertex {v.id} {v.x} {v.y} {v.kind} h {_join(v.h_edges)} v {_join(v.v_edges)}"
+        for v in mesh.vertices
+    ]
+    lines.append(f"nodes_x {_join(mesh.nodes_x)}")
+    lines.append(f"nodes_y {_join(mesh.nodes_y)}")
+    lines.append(f"interior_edges {_join(mesh.interior_edges)}")
+    lines.append(f"interior_vertices {_join(mesh.interior_vertices)}")
+    return "\n".join(lines)
+
+
+def _outcome_text(cells):
+    try:
+        return _record_text(t.build_mesh(cells))
+    except (t.MeshError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _digest(texts):
+    return hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
+
+
+# Two cells meet only at their corner (3, 2), so that vertex carries four
+# boundary edges.
+PINCHED_CELLS = [(0, 0, 2, 2), (2, 0, 4, 1), (3, 1, 4, 2), (2, 2, 3, 4), (0, 2, 2, 3)]
+
+
+def test_records_pinned():
+    # Digests of the records (or of the error type and message) that every
+    # build so far has produced on these inputs.
+    rng = random.Random(20101)
+    valid = [list(EX11_CELLS), list(EX51_CELLS), list(PINWHEEL_CELLS), list(L_CELLS)]
+    for _ in range(32):
+        mesh, _ = random_mesh(rng, rng.randrange(0, 30), rng.choice((1, 2, 4)), rng.choice((1, 3, 4)))
+        cells = mesh.cell_rects()
+        rng.shuffle(cells)
+        assert _record_text(t.build_mesh(cells)) == _record_text(mesh)
+        valid.append(cells)
+    texts = [_outcome_text(cells) for cells in valid]
+    assert all(text.startswith("cell ") for text in texts)
+    assert _digest(texts) == "7f9699123ef405f107a77f3593332f9d873dabcdad4466103058a5f3cc996207"
+
+    corrupted = [[], RING_CELLS, PINCHED_CELLS]
+    for cells in valid:
+        i = rng.randrange(len(cells))
+        x0, y0, x1, y1 = cells[i]
+        corrupted.append(cells[:i] + cells[i + 1:])  # dropped
+        corrupted.append(cells[:i] + [(x0, y0, x1 + (x1 - x0) * F(1, 2), y1)] + cells[i + 1:])  # wider
+        corrupted.append(cells[:i] + [(x0, y0, x1, y1 + (y1 - y0) * F(1, 3))] + cells[i + 1:])  # taller
+        corrupted.append(cells + [cells[i]])  # duplicate
+        corrupted.append(cells[:i] + [(x0, y0, x0, y1)] + cells[i + 1:])  # degenerate
+    texts = [_outcome_text(cells) for cells in corrupted]
+    assert {text.split(":")[0] for text in texts if not text.startswith("cell ")} == {
+        "ValueError",
+        "OverlappingCells",
+        "DisconnectedDomain",
+        "DomainNotSimplyConnected",
+        "DanglingGeometry",
+    }
+    assert _digest(texts) == "12000f30c5f65bdc20fb987271330281f410cb89fd6aa230f59182fde6434b19"

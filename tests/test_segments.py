@@ -102,7 +102,7 @@ def test_pinwheel_blocking_cycle():
         seen.append(node)
     assert node == seen[0]  # a 4-cycle
     order = t.default_ordering(a)
-    assert order.cyclic and order.source == "canonical"
+    assert order.source == "canonical"
     assert sorted(order.index.values()) == [1, 2, 3, 4]
 
 
@@ -110,7 +110,7 @@ def test_topological_ordering_respects_blocking():
     mesh, _ = ex19()
     a = t.analyze_segments(mesh)
     order = t.default_ordering(a)
-    assert not order.cyclic
+    assert order.source == "topological"
     for blocker, blocked in t.blocking(a):
         assert order.index[blocker] < order.index[blocked]
 
