@@ -3,14 +3,21 @@
 A T-mesh is entered as a bare list of axis-aligned rational rectangles.
 The vertices are the cell corners; the edges are the cell sides cut at every
 corner that lands on them, with the fragments shared by adjacent cells
-merged.  Coordinates are exact rationals throughout, so incidence tests never
-depend on tolerances.
+merged.  Every coordinate in every record is an exact ``Fraction``, so
+incidence tests never depend on tolerances.  Inside, ``build_mesh`` scales
+the cells once onto one integer lattice, the lcm of all coordinate
+denominators, and sorts, keys and compares plain ints; the overlap check is
+a sort-and-sweep over y.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from operator import itemgetter
 
 from .errors import (
     DanglingGeometry,
@@ -177,7 +184,6 @@ def _normalize_rects(rectangles):
         rects.append((x0, y0, x1, y1))
     if not rects:
         raise ValueError("cell list is empty")
-    rects.sort(key=lambda r: (r[1], r[0], r[3], r[2]))
     return rects
 
 
@@ -186,6 +192,7 @@ def _format_rect(rect):
 
 
 def _check_overlaps(rects):
+    """Raise for the first pair, in list order, of rects whose interiors overlap."""
     for i in range(len(rects)):
         x0, y0, x1, y1 = rects[i]
         for j in range(i + 1, len(rects)):
@@ -196,38 +203,79 @@ def _check_overlaps(rects):
                 )
 
 
+def _sweep_finds_overlap(rects):
+    """True when two of the rects, sorted by y0, have overlapping interiors.
+
+    A sweep upward over y (Bentley & Wood 1980): a heap holds the active
+    rects by top y, and their x-intervals sit in one sorted list.  Until an
+    overlap is found the active intervals are disjoint, so a new interval
+    overlaps one of them exactly when it overlaps the last one that starts
+    left of its right end.
+    """
+    tops = []  # (y1, x0) of each active rect
+    starts, ends = [], []  # the active x-intervals, sorted
+    for x0, y0, x1, y1 in rects:
+        while tops and tops[0][0] <= y0:
+            i = bisect_left(starts, heappop(tops)[1])
+            del starts[i], ends[i]
+        i = bisect_left(starts, x1)
+        if i and ends[i - 1] > x0:
+            return True
+        starts.insert(i, x0)
+        ends.insert(i, x1)
+        heappush(tops, (y1, x0))
+    return False
+
+
 def build_mesh(rectangles):
     """Build a validated TMesh from rational rectangles with disjoint interiors."""
     rects = _normalize_rects(rectangles)
-    _check_overlaps(rects)
+
+    # One integer lattice: scale every coordinate by the lcm of all their
+    # denominators.  The scaling is monotone and one-to-one, so sorting,
+    # keying and comparing on the lattice gives the canonical order and ids,
+    # and `exact` maps each lattice value back to its one Fraction.
+    scale = math.lcm(*{v.denominator for rect in rects for v in rect})
+    exact = {}
+    keyed = []
+    for rect in rects:
+        x0, y0, x1, y1 = ints = tuple(v.numerator * (scale // v.denominator) for v in rect)
+        exact.update(zip(ints, rect))
+        keyed.append(((y0, x0, y1, x1), rect))
+    keyed.sort(key=itemgetter(0))
+    rects = [rect for _, rect in keyed]
+    grid = [(x0, y0, x1, y1) for (y0, x0, y1, x1), _ in keyed]
+    if _sweep_finds_overlap(grid):
+        _check_overlaps(rects)  # names the first overlapping pair in canonical order
 
     # The vertices are the cell corners: every fragment below ends at a
     # corner on its line, and every corner ends its own cell's side
-    # fragments.  Walking the corners in (y, x) order gives the canonical
-    # vertex ids and fills both per-line lists already sorted.
+    # fragments.  Walking the corners, keyed (y, x), in order gives the
+    # canonical vertex ids and fills both per-line lists already sorted.
     corners = set()
-    for x0, y0, x1, y1 in rects:
-        corners.update(((x0, y0), (x1, y0), (x0, y1), (x1, y1)))
-    points = sorted(corners, key=lambda p: (p[1], p[0]))
-    vid_at = {}
-    xs_at_y: dict[Fraction, list[Fraction]] = {}
-    ys_at_x: dict[Fraction, list[Fraction]] = {}
-    for vid, (x, y) in enumerate(points):
-        vid_at[(x, y)] = vid
+    for x0, y0, x1, y1 in grid:
+        corners.update(((y0, x0), (y0, x1), (y1, x0), (y1, x1)))
+    points = sorted(corners)
+    vid_at = {point: vid for vid, point in enumerate(points)}
+    xs_at_y: dict[int, list[int]] = {}
+    ys_at_x: dict[int, list[int]] = {}
+    for y, x in points:
         xs_at_y.setdefault(y, []).append(x)
         ys_at_x.setdefault(x, []).append(y)
 
     # Fragment each cell side at every corner point on it; key fragments by
     # (direction, line coordinate, span) and collect the owner cell ids.
+    # Both ends of a side are corners on its line.
     fragments: dict[tuple, list[int]] = {}
 
     def side(cell_id, direction, coord, lo, hi):
         pts = xs_at_y[coord] if direction == HORIZONTAL else ys_at_x[coord]
-        span = [p for p in pts if lo <= p <= hi]
+        i = bisect_left(pts, lo)
+        span = pts[i:bisect_left(pts, hi, i) + 1]
         for a, b in zip(span, span[1:]):
             fragments.setdefault((direction, coord, a, b), []).append(cell_id)
 
-    for ci, (x0, y0, x1, y1) in enumerate(rects):
+    for ci, (x0, y0, x1, y1) in enumerate(grid):
         side(ci, HORIZONTAL, y0, x0, x1)
         side(ci, HORIZONTAL, y1, x0, x1)
         side(ci, VERTICAL, x0, y0, y1)
@@ -236,15 +284,15 @@ def build_mesh(rectangles):
     # Edges sorted by their (start, end) vertex ids, which is the (y, x)
     # order of their end points.
     spans = []
-    for key, owners in fragments.items():
+    for (direction, coord, lo, hi), owners in fragments.items():
+        fragment = (direction, exact[coord], exact[lo], exact[hi])
         if len(owners) > 2:
-            raise OverlappingCells(f"edge fragment {key} claimed by {len(owners)} cells")
-        direction, coord, lo, hi = key
+            raise OverlappingCells(f"edge fragment {fragment} claimed by {len(owners)} cells")
         if direction == HORIZONTAL:
-            start, end = vid_at[(lo, coord)], vid_at[(hi, coord)]
-        else:
             start, end = vid_at[(coord, lo)], vid_at[(coord, hi)]
-        spans.append((start, end, key, tuple(sorted(owners))))
+        else:
+            start, end = vid_at[(lo, coord)], vid_at[(hi, coord)]
+        spans.append((start, end, fragment, tuple(sorted(owners))))
     spans.sort(key=lambda s: (s[0], s[1]))
     edges = []
     h_edges_of: list[list[int]] = [[] for _ in points]
@@ -260,7 +308,8 @@ def build_mesh(rectangles):
     # connectivity and Euler checks, which give more specific errors.
     vertices = []
     anomalies = []
-    for vid, (x, y) in enumerate(points):
+    for vid, (y, x) in enumerate(points):
+        x, y = exact[x], exact[y]
         h_list, v_list = tuple(h_edges_of[vid]), tuple(v_edges_of[vid])
         if not h_list or not v_list:
             anomalies.append(f"vertex ({x}, {y}) misses a horizontal or vertical edge")
@@ -312,7 +361,8 @@ def build_mesh(rectangles):
     _walk_boundary(edges)
 
     # Every corner has a vertical and a horizontal cell side through it.
-    return TMesh(cells, edges, vertices, tuple(sorted(ys_at_x)), tuple(xs_at_y))
+    nodes_x = tuple(exact[x] for x in sorted(ys_at_x))
+    return TMesh(cells, edges, vertices, nodes_x, tuple(exact[y] for y in xs_at_y))
 
 
 def _walk_boundary(edges):

@@ -3,11 +3,15 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from fractions import Fraction as F
+from hypothesis import given, settings, strategies as st
 
 import tsplinedim as t
 from tsplinedim.errors import DegreeOutOfRange, DuplicatePoints
 
 from meshgen import (
+    EX11_CELLS,
+    PINWHEEL_CELLS,
     ex11_mesh,
     ex19,
     ex51_mesh,
@@ -250,3 +254,49 @@ def test_certificate_soundness_against_oracle():
         cert = t.exactness_certificate(a, dist, (m, n), order, hist)
         if cert.h is not None:
             assert t.h_exact(mesh, dist, (m, n)) == cert.h
+
+
+_SCALES = (F(1, 3), F(3, 7), F(1), F(7, 5), F(5))
+_SHIFTS = (F(-7, 3), F(-1, 2), F(0), F(3), F(11, 7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([None, PINWHEEL_CELLS, EX11_CELLS]),
+    st.integers(min_value=0),
+    st.sampled_from(_SCALES),
+    st.sampled_from(_SHIFTS),
+    st.sampled_from(_SCALES),
+    st.sampled_from(_SHIFTS),
+)
+def test_bounds_invariant_under_cell_order_and_monotone_affine_maps(base, seed, ax, bx, ay, by):
+    # Building a mesh scales it onto an integer lattice, which relies on
+    # exactly this invariance.
+    rng = random.Random(seed)
+    cells = random_mesh(rng, rng.randrange(15))[0].cell_rects() if base is None else list(base)
+    mesh = t.build_mesh(cells)
+    degree = (rng.randint(1, 3), rng.randint(1, 3))
+    r_h = {x: rng.randint(0, degree[0] + 1) for x in mesh.nodes_x}
+    r_v = {y: rng.randint(0, degree[1] + 1) for y in mesh.nodes_y}
+    image_cells = [(ax * x0 + bx, ay * y0 + by, ax * x1 + bx, ay * y1 + by) for x0, y0, x1, y1 in cells]
+    rng.shuffle(image_cells)
+    image = t.build_mesh(image_cells)
+    pairs = [
+        (mesh, t.SmoothnessDistribution(mesh, r_h, r_v)),
+        (
+            image,
+            t.SmoothnessDistribution(
+                image,
+                {ax * x + bx: r for x, r in r_h.items()},
+                {ay * y + by: r for y, r in r_v.items()},
+            ),
+        ),
+    ]
+    for policy in ("auto", "search"):
+        original, mapped = (t.dimension_bounds(m, dist, degree, policy) for m, dist in pairs)
+        assert mapped == original
+    original, mapped = (
+        t.combinatorial_term(m, dist, degree) + t.h_via_mis_presentation(m, dist, degree)
+        for m, dist in pairs
+    )
+    assert mapped == original

@@ -3,8 +3,10 @@ import random
 
 import pytest
 from fractions import Fraction as F
+from hypothesis import given, settings, strategies as st
 
 import tsplinedim as t
+from tsplinedim.mesh import _check_overlaps, _sweep_finds_overlap
 from tsplinedim.errors import (
     DisconnectedDomain,
     DomainNotSimplyConnected,
@@ -15,9 +17,11 @@ from meshgen import (
     EX11_CELLS,
     EX51_CELLS,
     L_CELLS,
+    _SORT_KEY,
     PINWHEEL_CELLS,
     RING_CELLS,
     ex11_mesh,
+    ex51_mesh,
     grid_mesh,
     random_mesh,
 )
@@ -240,3 +244,93 @@ def test_records_pinned():
         "DanglingGeometry",
     }
     assert _digest(texts) == "12000f30c5f65bdc20fb987271330281f410cb89fd6aa230f59182fde6434b19"
+
+
+# Split points with mixed and coprime denominators.
+_CUTS = (F(1, 2), F(1, 3), F(2, 3), F(1, 7), F(4, 7))
+_POOL = sorted({F(k, d) for d in (1, 2, 3, 7) for k in range(2 * d + 1)})
+_SPANS = st.lists(st.sampled_from(_POOL), min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@st.composite
+def _rect_sets(draw):
+    """Random tilings of [0, 2]^2, some corrupted, or loose rects from a small pool."""
+    if draw(st.booleans()):
+        rects = [draw(st.tuples(_SPANS, _SPANS)) for _ in range(draw(st.integers(1, 8)))]
+        rects = [(x0, y0, x1, y1) for (x0, x1), (y0, y1) in rects]
+    else:
+        rects = [(F(0), F(0), F(2), F(2))]
+        for _ in range(draw(st.integers(0, 12))):
+            i = draw(st.integers(0, len(rects) - 1))
+            x0, y0, x1, y1 = rects[i]
+            cut = draw(st.sampled_from(_CUTS))
+            if draw(st.booleans()):
+                c = x0 + (x1 - x0) * cut
+                rects[i : i + 1] = [(x0, y0, c, y1), (c, y0, x1, y1)]
+            else:
+                c = y0 + (y1 - y0) * cut
+                rects[i : i + 1] = [(x0, y0, x1, c), (x0, c, x1, y1)]
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(rects) - 1))
+            x0, y0, x1, y1 = rects[i]
+            fix = draw(st.sampled_from(_CUTS))
+            rects += draw(
+                st.sampled_from(
+                    [
+                        [rects[i]],  # duplicate
+                        [(x0, y0, x0 + (x1 - x0) * fix, y1)],  # nested on a shared side
+                        [(x0 + (x1 - x0) * fix / 2, y0 + (y1 - y0) * fix / 2, x1, y1)],  # nested
+                        [(x1, y0, x1 + fix, y1)],  # outside, on a shared side
+                        [(x1 - fix, y1 - fix, x1 + fix, y1 + fix)],  # across a corner
+                        [(x1, y1, x1 + fix, y1 + fix)],  # on a shared corner
+                    ]
+                )
+            )
+    return draw(st.permutations(rects))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rect_sets())
+def test_overlap_sweep_agrees_with_pairwise_scan(cells):
+    rects = sorted(cells, key=_SORT_KEY)
+    try:
+        _check_overlaps(rects)
+        expected = None
+    except OverlappingCells as exc:
+        expected = str(exc)
+    assert _sweep_finds_overlap(rects) == (expected is not None)
+    try:
+        t.build_mesh(cells)
+        got = None
+    except OverlappingCells as exc:
+        got = str(exc)
+    except t.MeshError:
+        got = None
+    assert got == expected
+
+
+def _coordinate_fields(mesh):
+    for c in mesh.cells:
+        yield from c.rect
+    for e in mesh.edges:
+        yield from (e.coord, e.lo, e.hi)
+    for v in mesh.vertices:
+        yield from v.position
+    yield from mesh.nodes_x
+    yield from mesh.nodes_y
+
+
+def _grid_cells_at(xs, ys):
+    return [(a, c, b, d) for a, b in zip(xs, xs[1:]) for c, d in zip(ys, ys[1:])]
+
+
+def test_record_coordinates_are_fractions():
+    # Records hold Fractions, never a lattice int: str(3) == str(F(3)) and
+    # 3 == F(3), so neither the pinned digest nor an equality test sees one.
+    coprime = [F(0), F(1, 3), F(1, 2), F(5, 7), F(1)]
+    meshes = [grid_mesh(4, 3), ex51_mesh(), t.build_mesh(_grid_cells_at(coprime, coprime[:4]))]
+    rng = random.Random(11)
+    meshes += [random_mesh(rng, rng.randrange(1, 25))[0] for _ in range(8)]
+    for mesh in meshes:
+        fields = list(_coordinate_fields(mesh))
+        assert fields and {type(v) for v in fields} == {F}

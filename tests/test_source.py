@@ -15,3 +15,15 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_true_division_in_mesh():
+    # build_mesh computes on lattice ints, where `/` would make a float.
+    path = PACKAGE / "mesh.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert found == []
