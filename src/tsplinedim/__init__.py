@@ -98,11 +98,7 @@ from .smoothness import (
     Degree,
     SmoothnessDistribution,
     constant_distribution,
-    edge_bidegree,
-    edge_smoothness,
     quotient_dims,
-    vertex_bidegree,
-    vertex_orders,
 )
 from .svg import render_svg
 

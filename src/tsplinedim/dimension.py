@@ -84,9 +84,10 @@ def _contribution(seg, dist, degree, weight):
     symmetrically for a vertical segment.
     """
     m, n = degree
+    r = dist.order(seg.direction, seg.coord)
     if seg.horizontal:
-        return max(0, m + 1 - weight) * max(0, n - dist.vertical_order(seg.coord))
-    return max(0, m - dist.horizontal_order(seg.coord)) * max(0, n + 1 - weight)
+        return max(0, m + 1 - weight) * max(0, n - r)
+    return max(0, m - r) * max(0, n + 1 - weight)
 
 
 def h_upper_bound(analysis, dist, degree, ordering):

@@ -6,12 +6,13 @@ round-trip losslessly; ``#`` starts a comment anywhere on a line.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadRational, TmeshSyntaxError, UnknownDirective, UnknownNode
 from .hierarchy import SplitEvent, SubdivisionHistory, split_cell, weighted_split
-from .mesh import build_mesh
+from .mesh import as_fraction, build_mesh
 from .smoothness import SmoothnessDistribution, constant_distribution
 
 
@@ -52,9 +53,17 @@ class MeshDocument:
 
     @staticmethod
     def make(cells, default_smooth=None, smooth_h=(), smooth_v=()):
-        cells = tuple(sorted(tuple(Fraction(v) for v in rect) for rect in cells))
-        smooth_h = tuple(sorted((Fraction(k), int(v)) for k, v in dict(smooth_h).items()))
-        smooth_v = tuple(sorted((Fraction(k), int(v)) for k, v in dict(smooth_v).items()))
+        """Canonical document: cells and node orders sorted, coordinates exact.
+
+        Coordinates go through ``as_fraction`` and orders through
+        ``operator.index``, so a float raises TypeError instead of becoming
+        a rational.
+        """
+        cells = tuple(sorted(tuple(map(as_fraction, rect)) for rect in cells))
+        if default_smooth is not None:
+            default_smooth = tuple(map(operator.index, default_smooth))
+        smooth_h = tuple(sorted((as_fraction(k), operator.index(v)) for k, v in dict(smooth_h).items()))
+        smooth_v = tuple(sorted((as_fraction(k), operator.index(v)) for k, v in dict(smooth_v).items()))
         return MeshDocument(cells, default_smooth, smooth_h, smooth_v)
 
 

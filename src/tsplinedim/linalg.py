@@ -144,7 +144,5 @@ def rational_rank(rows):
                     del col_rows[c]
         rows[pivot_row] = {}
         col_rows.pop(pivot_col, None)
-        for c in [c for c, live in col_rows.items() if not live]:
-            del col_rows[c]
 
     return rank

@@ -14,6 +14,7 @@ from math import comb, lcm
 from .dimension import combinatorial_term
 from .errors import DegreeOutOfRange, DuplicatePoints
 from .linalg import SparseRationalMatrix, rational_rank
+from .mesh import HORIZONTAL, VERTICAL
 from .segments import analyze_segments
 from .smoothness import quotient_dims
 
@@ -34,11 +35,10 @@ def build_spline_system(mesh, dist, degree):
     rows_per_edge = {}
     for eid in mesh.interior_edges:
         e = mesh.edges[eid]
+        r = dist.order(e.direction, e.coord)
         if e.horizontal:
-            r = dist.vertical_order(e.coord)
             span = [(i, l) for i in range(m + 1) for l in range(min(r, n) + 1)]
         else:
-            r = dist.horizontal_order(e.coord)
             span = [(k, j) for k in range(min(r, m) + 1) for j in range(n + 1)]
         rows_per_edge[eid] = (nrows, span)
         nrows += len(span)
@@ -105,11 +105,10 @@ def h_via_h0(mesh, dist, degree):
     for eid in mesh.interior_edges:
         e = mesh.edges[eid]
         a = e.coord
+        r = dist.order(e.direction, a)
         if e.horizontal:
-            r = dist.vertical_order(a)
             basis = [(i, l) for l in range(r + 1, n + 1) for i in range(m + 1)]
         else:
-            r = dist.horizontal_order(a)
             basis = [(k, j) for k in range(r + 1, m + 1) for j in range(n + 1)]
         for idx in basis:
             # monomial expansion of the ideal basis element
@@ -153,11 +152,10 @@ def h_via_mis_presentation(mesh, dist, degree, analysis=None):
     total = 0
     for sid in analysis.mis:
         seg = analysis.segments[sid]
+        r = dist.order(seg.direction, seg.coord)
         if seg.horizontal:
-            r = dist.vertical_order(seg.coord)
             shape = (m + 1, max(0, n - r))
         else:
-            r = dist.horizontal_order(seg.coord)
             shape = (max(0, m - r), n + 1)
         offsets[sid] = total
         widths[sid] = shape
@@ -172,8 +170,8 @@ def h_via_mis_presentation(mesh, dist, degree, analysis=None):
         in_v = seg_v in offsets
         if not (in_h or in_v):
             continue
-        rh = dist.horizontal_order(v.x)
-        rv = dist.vertical_order(v.y)
+        rh = dist.order(VERTICAL, v.x)
+        rv = dist.order(HORIZONTAL, v.y)
         qa, qb = m - rh - 1, n - rv - 1
         if qa < 0 or qb < 0:
             continue
@@ -210,8 +208,8 @@ def d1_full_row_rank(mesh, dist, degree):
     v_shape = {}
     for vid in mesh.interior_vertices:
         v = mesh.vertices[vid]
-        rh = min(dist.horizontal_order(v.x), m)
-        rv = min(dist.vertical_order(v.y), n)
+        rh = min(dist.order(VERTICAL, v.x), m)
+        rv = min(dist.order(HORIZONTAL, v.y), n)
         v_offset[vid] = total_rows
         v_shape[vid] = (rh, rv)
         total_rows += (rh + 1) * (rv + 1)
@@ -219,13 +217,11 @@ def d1_full_row_rank(mesh, dist, degree):
     columns = []
     for eid in mesh.interior_edges:
         e = mesh.edges[eid]
-        a = e.coord
+        r = dist.order(e.direction, e.coord)
         if e.horizontal:
-            r = min(dist.vertical_order(a), n)
-            basis = [(i, l) for i in range(m + 1) for l in range(r + 1)]
+            basis = [(i, l) for i in range(m + 1) for l in range(min(r, n) + 1)]
         else:
-            r = min(dist.horizontal_order(a), m)
-            basis = [(k, j) for k in range(r + 1) for j in range(n + 1)]
+            basis = [(k, j) for k in range(min(r, m) + 1) for j in range(n + 1)]
         for idx in basis:
             col = {}
             for sign, vid in ((-1, e.start), (1, e.end)):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DanglingGeometry
-from .mesh import HORIZONTAL
+from .mesh import HORIZONTAL, VERTICAL
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,8 @@ def _transversal_weight(analysis, dist, degree, seg, vertex_id):
     m, n = degree
     vertex = analysis.mesh.vertices[vertex_id]
     if seg.horizontal:
-        return max(0, m - dist.horizontal_order(vertex.x))
-    return max(0, n - dist.vertical_order(vertex.y))
+        return max(0, m - dist.order(VERTICAL, vertex.x))
+    return max(0, n - dist.order(HORIZONTAL, vertex.y))
 
 
 def is_weighted(analysis, dist, degree, ordering, k, kp):

@@ -1,8 +1,11 @@
 """Smoothness distributions on mesh nodes and the induced quotient dimensions.
 
-A distribution assigns a continuity order to every vertical node line (via
-``r_h``) and every horizontal node line (via ``r_v``).  Values larger than
-the degree are legal; every dimension formula truncates with ``min`` so the
+A distribution assigns a continuity order to every node line.  It is entered
+as ``r_h`` (one order per vertical node line x, the continuity in s across
+it) and ``r_v`` (one per horizontal node line y), and read back through one
+lookup, ``order(direction, coord)``: the order across the line of that
+direction (``"h"`` or ``"v"``) at that coordinate.  Values larger than the
+degree are legal; every dimension formula truncates with ``min`` so the
 constraint simply saturates.
 """
 
@@ -12,7 +15,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import UnknownNode
-from .mesh import Cell, Edge, Vertex, as_fraction
+from .mesh import HORIZONTAL, VERTICAL, Cell, Edge, Vertex, as_fraction
 
 
 class Degree(NamedTuple):
@@ -34,19 +37,22 @@ class SmoothnessDistribution:
                 raise UnknownNode(f"missing smoothness for horizontal node line y={y}")
         if any(v < 0 for v in self.r_h.values()) or any(v < 0 for v in self.r_v.values()):
             raise ValueError("smoothness orders must be nonnegative")
+        # A vertical line at x carries r_h(x); a horizontal line at y, r_v(y).
+        self._orders = {(VERTICAL, x): r for x, r in self.r_h.items()}
+        self._orders.update(((HORIZONTAL, y), r) for y, r in self.r_v.items())
 
-    def horizontal_order(self, x):
-        """r_h at abscissa x (continuity across the vertical line there)."""
-        x = as_fraction(x)
-        if x not in self.r_h:
-            raise UnknownNode(f"x={x} is not a node")
-        return self.r_h[x]
+    def order(self, direction, coord):
+        """Continuity order across the ``direction`` line at ``coord``.
 
-    def vertical_order(self, y):
-        y = as_fraction(y)
-        if y not in self.r_v:
-            raise UnknownNode(f"y={y} is not a node")
-        return self.r_v[y]
+        ``coord`` is an int or a Fraction, the y of a horizontal line or the
+        x of a vertical one; it is looked up as given, without coercion.
+        """
+        if isinstance(coord, float):
+            raise TypeError(f"coordinate {coord!r} is a float; pass an int or a Fraction")
+        try:
+            return self._orders[direction, coord]
+        except KeyError:
+            raise UnknownNode(f"no {direction} node line at {coord}") from None
 
     def is_constant(self):
         hs = set(self.r_h.values())
@@ -69,35 +75,11 @@ class ConstantSmoothness(NamedTuple):
 
 
 def constant_distribution(mesh, r, rp):
-    if r < 0 or rp < 0:
-        raise ValueError("smoothness orders must be nonnegative")
     return SmoothnessDistribution(
         mesh,
         {x: r for x in mesh.nodes_x},
         {y: rp for y in mesh.nodes_y},
     )
-
-
-def edge_smoothness(dist, edge):
-    """Continuity order r(tau) imposed across an edge."""
-    if edge.horizontal:
-        return dist.vertical_order(edge.coord)
-    return dist.horizontal_order(edge.coord)
-
-
-def edge_bidegree(dist, edge):
-    """Bidegree of the edge constraint: (r+1, 0) vertical, (0, r+1) horizontal."""
-    r = edge_smoothness(dist, edge)
-    return (0, r + 1) if edge.horizontal else (r + 1, 0)
-
-
-def vertex_orders(dist, vertex):
-    return (dist.horizontal_order(vertex.x), dist.vertical_order(vertex.y))
-
-
-def vertex_bidegree(dist, vertex):
-    rh, rv = vertex_orders(dist, vertex)
-    return (rh + 1, rv + 1)
 
 
 def quotient_dims(dist, degree, face):
@@ -111,11 +93,12 @@ def quotient_dims(dist, degree, face):
     if isinstance(face, Cell):
         return (m + 1) * (n + 1)
     if isinstance(face, Edge):
-        r = edge_smoothness(dist, face)
+        r = dist.order(face.direction, face.coord)
         if face.horizontal:
             return (m + 1) * (min(r, n) + 1)
         return (min(r, m) + 1) * (n + 1)
     if isinstance(face, Vertex):
-        rh, rv = vertex_orders(dist, face)
+        rh = dist.order(VERTICAL, face.x)
+        rv = dist.order(HORIZONTAL, face.y)
         return (min(rh, m) + 1) * (min(rv, n) + 1)
     raise TypeError(f"not a mesh face: {face!r}")

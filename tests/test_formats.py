@@ -1,9 +1,11 @@
 import pytest
 from fractions import Fraction as F
+from hypothesis import given, settings, strategies as st
 
 import tsplinedim as t
 from tsplinedim.errors import (
     BadRational,
+    MeshError,
     TmeshSyntaxError,
     UnknownDirective,
     UnknownNode,
@@ -67,6 +69,102 @@ def test_roundtrip():
     assert parse_tmesh(format_tmesh(with_nodes)) == with_nodes
 
 
+def test_make_refuses_floats():
+    with pytest.raises(TypeError):
+        MeshDocument.make([(0, 0, 0.5, 1), (F(1, 2), 0, 1, 1)])
+    with pytest.raises(TypeError):
+        MeshDocument.make([(0, 0, 1, 1)], smooth_h={0: 1.5})
+    with pytest.raises(TypeError):
+        MeshDocument.make([(0, 0, 1, 1)], smooth_v={0.5: 1})
+    with pytest.raises(TypeError):
+        MeshDocument.make([(0, 0, 1, 1)], default_smooth=(1.0, 1))
+    doc = MeshDocument.make([("0", 0, F(1, 2), 1)], smooth_h={"1/2": 1})
+    assert doc.cells == ((F(0), F(0), F(1, 2), F(1)),)
+    assert doc.smooth_h == ((F(1, 2), 1),)
+
+
+_RATIONALS = st.builds(F, st.integers(min_value=-96, max_value=96), st.integers(min_value=1, max_value=12))
+_LENGTHS = st.builds(F, st.integers(min_value=1, max_value=96), st.integers(min_value=1, max_value=12))
+_ORDERS = st.integers(min_value=0, max_value=5)
+
+
+@st.composite
+def _rectangles(draw):
+    x0, y0 = draw(_RATIONALS), draw(_RATIONALS)
+    return (x0, y0, x0 + draw(_LENGTHS), y0 + draw(_LENGTHS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_rectangles(), min_size=1, max_size=6),
+    st.none() | st.tuples(_ORDERS, _ORDERS),
+    st.dictionaries(_RATIONALS, _ORDERS, max_size=4),
+    st.dictionaries(_RATIONALS, _ORDERS, max_size=4),
+)
+def test_tmesh_roundtrip_property(cells, default_smooth, smooth_h, smooth_v):
+    doc = MeshDocument.make(cells, default_smooth, smooth_h, smooth_v)
+    assert parse_tmesh(format_tmesh(doc)) == doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _rectangles(),
+    st.lists(
+        st.builds(t.SplitEvent, st.integers(min_value=0, max_value=40), st.sampled_from("hv"), _RATIONALS),
+        max_size=8,
+    ),
+)
+def test_tsub_roundtrip_property(initial, events):
+    history = t.SubdivisionHistory(initial, events)
+    assert parse_tsub(format_tsub(history)) == history
+
+
+_FUZZ_DIRECTIVES = ("cell", "smooth", "default-smooth", "init", "split", "wsplit", "bogus", "#")
+_FUZZ_TOKENS = (
+    "h", "v", "0", "1", "2", "3", "-1", "1/2", "3/2", "2/4", "1/0", "0.5", "1e2", "-0", "x",
+    "nan", "inf", "#", "1#2",
+)
+_FUZZ_WELL_FORMED = {
+    "tmesh": (
+        *(f"cell {i} {j} {i + 1} {j + 1}" for i in range(2) for j in range(2)),
+        "cell 0 0 1 1/2", "cell 1/2 0 1 1", "smooth h 1 0", "smooth v 1 2", "smooth v 1/2 1",
+        "default-smooth 1 1",
+    ),
+    "tsub": ("init 0 0 2 2", "split 0 v 1", "split 1 h 1/2", "wsplit 1 h 1/2 2 2"),
+}
+
+
+@st.composite
+def _fuzz_text(draw):
+    """A header, mostly the right one, then well-formed lines of that format
+    shuffled with at most two bad ones: a directive with random tokens, or
+    random text."""
+    kind = draw(st.sampled_from(("tmesh", "tsub")))
+    header = draw(st.sampled_from((f"{kind} 1",) * 3 + (f"{kind} 2", kind, "")))
+    argument = st.sampled_from(_FUZZ_TOKENS) | st.text(max_size=2)
+    bad = st.tuples(st.sampled_from(_FUZZ_DIRECTIVES), st.lists(argument, max_size=5)).map(
+        lambda parts: " ".join([parts[0], *parts[1]])
+    ) | st.text(max_size=8)
+    body = draw(st.lists(st.sampled_from(_FUZZ_WELL_FORMED[kind]), max_size=6))
+    body += draw(st.lists(bad, max_size=2))
+    return "\n".join([header, *draw(st.permutations(body))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_text())
+def test_fuzzed_text_raises_only_mesh_errors(text):
+    try:
+        doc = parse_tmesh(text)
+        mesh = document_mesh(doc)
+        document_smoothness(doc, mesh)
+    except MeshError:
+        pass
+    try:
+        parse_tsub(text)
+    except MeshError:
+        pass
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(TmeshSyntaxError):
         parse_tmesh("")
@@ -90,9 +188,9 @@ def test_per_node_smoothness_resolution():
     doc = parse_tmesh(text)
     mesh = document_mesh(doc)
     dist = document_smoothness(doc, mesh)
-    assert dist.horizontal_order(1) == 0
-    assert dist.horizontal_order(2) == 1
-    assert dist.vertical_order(F(1, 2)) == 2
+    assert dist.order("v", 1) == 0
+    assert dist.order("v", 2) == 1
+    assert dist.order("h", F(1, 2)) == 2
     override = document_smoothness(doc, mesh, override=(0, 0))
     assert override.is_constant() == (0, 0)
 

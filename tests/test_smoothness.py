@@ -22,8 +22,8 @@ def ex12_distribution(mesh):
 
 def test_constant_distribution(staircase):
     dist = t.constant_distribution(staircase, 1, 1)
-    assert all(dist.horizontal_order(x) == 1 for x in staircase.nodes_x)
-    assert all(dist.vertical_order(y) == 1 for y in staircase.nodes_y)
+    assert all(dist.order("v", x) == 1 for x in staircase.nodes_x)
+    assert all(dist.order("h", y) == 1 for y in staircase.nodes_y)
     assert dist.is_constant() == (1, 1)
     c0 = t.constant_distribution(staircase, 0, 0)
     assert c0.is_constant() == (0, 0)
@@ -31,8 +31,9 @@ def test_constant_distribution(staircase):
 
 def test_per_node_distribution(staircase):
     dist = ex12_distribution(staircase)
-    assert dist.horizontal_order(2) == 0
-    assert dist.horizontal_order(1) == 1
+    assert dist.order("v", 2) == 0
+    assert dist.order("v", F(1)) == 1
+    assert dist.order("h", 2) == 1
     assert dist.is_constant() is None
 
 
@@ -41,7 +42,20 @@ def test_missing_node_rejected(staircase):
         t.SmoothnessDistribution(staircase, {F(0): 1}, {y: 1 for y in staircase.nodes_y})
     dist = t.constant_distribution(staircase, 1, 1)
     with pytest.raises(UnknownNode):
-        dist.horizontal_order(F(7, 2))
+        dist.order("v", F(7, 2))
+
+
+def test_order_of_a_non_node_or_a_float_is_refused(staircase):
+    dist = ex12_distribution(staircase)
+    with pytest.raises(UnknownNode):
+        dist.order("h", F(1, 3))
+    # x=5 is a vertical node line but not a horizontal one
+    assert 5 in staircase.nodes_x and 5 not in staircase.nodes_y
+    assert dist.order("v", 5) == 1
+    with pytest.raises(UnknownNode):
+        dist.order("h", 5)
+    with pytest.raises(TypeError):
+        dist.order("v", 2.0)
 
 
 def test_fractional_order_rejected(staircase):
@@ -51,31 +65,30 @@ def test_fractional_order_rejected(staircase):
         t.SmoothnessDistribution(staircase, r_h, {y: 1 for y in staircase.nodes_y})
 
 
-def test_edge_smoothness_and_bidegree(staircase):
+def test_edge_order(staircase):
     dist = t.constant_distribution(staircase, 1, 1)
     vertical = next(e for e in staircase.edges if e.direction == "v" and e.interior)
-    assert t.edge_smoothness(dist, vertical) == 1
-    assert t.edge_bidegree(dist, vertical) == (2, 0)
+    assert dist.order(vertical.direction, vertical.coord) == 1
 
     ex12 = ex12_distribution(staircase)
     at_two = next(
         e for e in staircase.edges if e.direction == "v" and e.coord == 2 and e.interior
     )
-    assert t.edge_smoothness(ex12, at_two) == 0
-    assert t.edge_bidegree(ex12, at_two) == (1, 0)
+    assert ex12.order(at_two.direction, at_two.coord) == 0
 
     dist21 = t.constant_distribution(staircase, 2, 1)
     horizontal = next(e for e in staircase.edges if e.direction == "h" and e.interior)
-    assert t.edge_bidegree(dist21, horizontal) == (0, 2)
+    assert dist21.order(horizontal.direction, horizontal.coord) == 1
 
 
-def test_vertex_bidegree(staircase):
+def test_vertex_orders(staircase):
     dist = t.constant_distribution(staircase, 1, 1)
     v = staircase.vertices[staircase.vertex_at(2, 2)]
-    assert t.vertex_bidegree(dist, v) == (2, 2)
-    assert t.vertex_bidegree(ex12_distribution(staircase), v) == (1, 2)
+    assert (dist.order("v", v.x), dist.order("h", v.y)) == (1, 1)
+    ex12 = ex12_distribution(staircase)
+    assert (ex12.order("v", v.x), ex12.order("h", v.y)) == (0, 1)
     dist20 = t.constant_distribution(staircase, 2, 0)
-    assert t.vertex_bidegree(dist20, v) == (3, 1)
+    assert (dist20.order("v", v.x), dist20.order("h", v.y)) == (2, 0)
 
 
 def test_quotient_dims(staircase):
@@ -112,6 +125,5 @@ def test_collinear_edges_share_smoothness(staircase):
         if e.interior:
             by_line.setdefault((e.direction, e.coord), []).append(e)
     for group in by_line.values():
-        values = {t.edge_smoothness(dist, e) for e in group}
-        bidegrees = {t.edge_bidegree(dist, e) for e in group}
-        assert len(values) == 1 and len(bidegrees) == 1
+        values = {dist.order(e.direction, e.coord) for e in group}
+        assert len(values) == 1

@@ -27,3 +27,20 @@ def test_no_true_division_in_mesh():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
     ]
     assert found == []
+
+
+def test_orders_are_read_only_through_the_distribution_lookup():
+    # The rule "a horizontal line at y carries r_v(y), a vertical one at x
+    # carries r_h(x)" lives in SmoothnessDistribution.order alone.
+    per_axis = {"r_h", "r_v", "horizontal_order", "vertical_order"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "smoothness.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in per_axis
+        ]
+    assert found == []
