@@ -22,6 +22,11 @@ def format_rational(value):
 
 
 def parse_rational(token, line=None):
+    """An integer, a decimal or ``p/q``.  An exponent is refused before
+    ``Fraction`` runs: a short token like ``1e99999999`` would make it build
+    a huge integer first."""
+    if "e" in token or "E" in token:
+        raise BadRational(f"cannot parse rational {token!r}: exponents are not allowed", line)
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,8 +1,14 @@
 """Hierarchical T-meshes: cell splits, replayable histories, appearance
-ordering of interior segments, and the weighted subdivision rule."""
+ordering of interior segments, and the weighted subdivision rule.
+
+A history replays on its cell list, recording the span of every inserted
+edge on its line; the appearance ordering and the isolated-segment count
+are read off those spans, so a mesh is built only to be returned or weighed.
+"""
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,7 +47,7 @@ class SubdivisionHistory:
         return SubdivisionHistory(self.initial, list(self.events))
 
     def replay(self):
-        return _replay(self).mesh
+        return build_mesh(_Replay(self).rects)
 
 
 @dataclass(frozen=True)
@@ -56,115 +62,103 @@ def initial_mesh(x0, y0, x1, y1):
     return build_mesh([initial]), SubdivisionHistory(initial)
 
 
-def _split_rects(mesh, cell_id, direction, coord):
-    if not 0 <= cell_id < len(mesh.cells):
-        raise UnknownCell(f"no cell with id {cell_id}")
-    cell = mesh.cells[cell_id]
-    coord = as_fraction(coord)
-    rect = "[" + ", ".join(str(v) for v in cell.rect) + "]"
-    if direction == VERTICAL:
-        if not cell.x0 < coord < cell.x1:
-            raise CoordinateOnCellBoundary(f"x={coord} not inside cell {cell_id} {rect}")
-        halves = [(cell.x0, cell.y0, coord, cell.y1), (coord, cell.y0, cell.x1, cell.y1)]
-    elif direction == HORIZONTAL:
-        if not cell.y0 < coord < cell.y1:
-            raise CoordinateOnCellBoundary(f"y={coord} not inside cell {cell_id} {rect}")
-        halves = [(cell.x0, cell.y0, cell.x1, coord), (cell.x0, coord, cell.x1, cell.y1)]
+def _split(rects, event):
+    """Replace cell event.cell of rects, kept sorted by (y0, x0) so that an
+    index is a canonical cell id, by its two halves.
+
+    Returns the line coordinate and the (lo, hi) span of the new edge.
+    """
+    if not 0 <= event.cell < len(rects):
+        raise UnknownCell(f"no cell with id {event.cell}")
+    x0, y0, x1, y1 = rects[event.cell]
+    coord = as_fraction(event.coord)
+    if event.direction == VERTICAL:
+        axis, a, b, lo, hi = "x", x0, x1, y0, y1
+        halves = [(x0, y0, coord, y1), (coord, y0, x1, y1)]
+    elif event.direction == HORIZONTAL:
+        axis, a, b, lo, hi = "y", y0, y1, x0, x1
+        halves = [(x0, y0, x1, coord), (x0, coord, x1, y1)]
     else:
-        raise ValueError(f"bad direction {direction!r}")
-    rects = [c.rect for c in mesh.cells if c.id != cell_id]
-    rects.extend(halves)
-    return rects, cell
+        raise ValueError(f"bad direction {event.direction!r}")
+    if not a < coord < b:
+        rect = ", ".join(map(str, rects[event.cell]))
+        raise CoordinateOnCellBoundary(f"{axis}={coord} not inside cell {event.cell} [{rect}]")
+    del rects[event.cell]
+    for half in halves:
+        insort(rects, half, key=lambda r: (r[1], r[0]))
+    return coord, lo, hi
 
 
-def _containing_segment(analysis, direction, coord, at):
-    for seg in analysis.segments:
-        if seg.direction == direction and seg.coord == coord and seg.lo <= at <= seg.hi:
-            return seg
-    return None
-
-
-def _covered(old_analysis, segment):
-    """Interior segments of an earlier analysis that segment overlaps on its line."""
-    return [
-        old
-        for old in old_analysis.segments
-        if old.interior
-        and old.direction == segment.direction
-        and old.coord == segment.coord
-        and old.lo <= segment.hi
-        and segment.lo <= old.hi
-    ]
-
-
-def _classify(covered, segment):
+def _outcome(rects, direction, coord, lo, hi, inserted):
+    """Build the mesh of rects and classify the maximal segment holding the
+    new edge [lo, hi]; inserted is the length this call put on its line."""
+    mesh = build_mesh(rects)
+    analysis = analyze_segments(mesh)
+    segment = next(
+        s for s in analysis.segments
+        if s.direction == direction and s.coord == coord and s.lo <= lo and hi <= s.hi
+    )
     if not segment.interior:
-        return BOUNDARY_REACHING
-    return EXTENDED_MIS if covered else NEW_MIS
-
-
-def _span(segment):
-    return (segment.direction, segment.coord, segment.lo, segment.hi)
+        classification = BOUNDARY_REACHING
+    elif segment.hi - segment.lo == inserted:
+        classification = NEW_MIS
+    else:
+        classification = EXTENDED_MIS
+    return SplitOutcome(mesh, segment, classification), analysis
 
 
 class _Replay:
-    """Mesh state advanced one elementary split at a time.
+    """A history replayed on its cell list.
 
-    Keeps the segment analysis of the current mesh, which is the "old"
-    analysis of the next split; the index of the event that created each
-    interior segment, keyed by its span (merges keep the earliest); and the
-    number of events that created a new interior segment with no interior
-    vertex.
+    Keeps the cells sorted by (y0, x0); for each line (direction, coord) the
+    (lo, hi, event index) of every edge inserted on it; and the number of
+    events that created a new interior segment with no interior vertex.
     """
 
-    def __init__(self, mesh):
-        self.mesh = mesh
-        self.analysis = analyze_segments(mesh)
-        self.births = {}
+    def __init__(self, history):
+        self.rects = build_mesh([history.initial]).cell_rects()
+        self.box = self.rects[0]
+        self.lines = {}
         self.events = 0
         self.isolated = 0
+        for event in history.events:
+            self.split(event)
 
     def split(self, event):
-        rects, cell = _split_rects(self.mesh, event.cell, event.direction, event.coord)
-        mesh = build_mesh(rects)
-        analysis = analyze_segments(mesh)
-        lo, hi = (cell.y0, cell.y1) if event.direction == VERTICAL else (cell.x0, cell.x1)
-        segment = _containing_segment(analysis, event.direction, event.coord, (lo + hi) / 2)
-        covered = _covered(self.analysis, segment)
-        # a segment that was there before the first replayed event has no record
-        births = [self.births.pop(_span(old), self.events) for old in covered]
-        if segment.interior:
-            self.births[_span(segment)] = min([self.events] + births)
-        classification = _classify(covered, segment)
-        if classification == NEW_MIS and len(segment.vertices) == 2:
+        coord, lo, hi = _split(self.rects, event)
+        spans = self.lines.setdefault((event.direction, coord), [])
+        x0, y0, x1, y1 = self.box
+        inside = y0 < lo and hi < y1 if event.direction == VERTICAL else x0 < lo and hi < x1
+        # Earlier spans on the line never reach into the split cell, so the
+        # new edge is a segment on its own unless one of them touches an end.
+        if inside and all(b != lo and a != hi for a, b, _ in spans):
             self.isolated += 1
-        self.mesh, self.analysis = mesh, analysis
+        spans.append((lo, hi, self.events))
         self.events += 1
-        return SplitOutcome(mesh, segment, classification)
+        return coord, lo, hi
+
+    def check(self, mesh):
+        if self.rects != mesh.cell_rects():
+            raise HistoryMismatch("history does not replay to the analyzed mesh")
 
     def ordering(self, analysis):
-        """Order the interior segments of analysis by the event that created each.
+        """Order the interior segments of analysis by the event that created
+        each: the first event whose edge lies inside the segment.
 
         Raises HistoryMismatch when analysis is not of the replayed mesh or a
-        segment has no birth record.
+        segment has no such event.
         """
-        if sorted(self.mesh.cell_rects()) != sorted(analysis.mesh.cell_rects()):
-            raise HistoryMismatch("history does not replay to the analyzed mesh")
+        self.check(analysis.mesh)
         births = []
         for sid in analysis.mis:
-            birth = self.births.get(_span(analysis.segments[sid]))
+            seg = analysis.segments[sid]
+            spans = self.lines.get((seg.direction, seg.coord), ())
+            birth = min((i for lo, hi, i in spans if seg.lo <= lo and hi <= seg.hi), default=None)
             if birth is None:
                 raise HistoryMismatch(f"segment {sid} has no unique replay record")
             births.append((birth, sid))
         births.sort()
         return Ordering({sid: i + 1 for i, (_, sid) in enumerate(births)}, "appearance")
-
-
-def _replay(history):
-    state = _Replay(build_mesh([history.initial]))
-    for event in history.events:
-        state.split(event)
-    return state
 
 
 def split_cell(mesh, history, cell_id, direction, coord):
@@ -174,26 +168,25 @@ def split_cell(mesh, history, cell_id, direction, coord):
     the rebuild; the history (when given) records the elementary event.
     """
     event = SplitEvent(cell_id, direction, as_fraction(coord))
-    outcome = _Replay(mesh).split(event)
+    rects = mesh.cell_rects()
+    coord, lo, hi = _split(rects, event)
+    outcome, _ = _outcome(rects, direction, coord, lo, hi, hi - lo)
     if history is not None:
         history.events.append(event)
     return outcome
 
 
-def _extension_target(mesh, segment, at_hi):
-    """Cell entered when the segment is prolonged past one of its end points."""
-    vid = segment.vertices[-1] if at_hi else segment.vertices[0]
-    v = mesh.vertices[vid]
-    for cell in mesh.cells:
+def _extension_target(rects, segment, at_hi):
+    """Id of the cell entered when the segment is prolonged past one of its end points."""
+    end = segment.hi if at_hi else segment.lo
+    for cell_id, (x0, y0, x1, y1) in enumerate(rects):
         if segment.horizontal:
-            edge_hit = cell.x0 == v.x if at_hi else cell.x1 == v.x
-            inside = cell.y0 < segment.coord < cell.y1
+            hit = (x0 if at_hi else x1) == end and y0 < segment.coord < y1
         else:
-            edge_hit = cell.y0 == v.y if at_hi else cell.y1 == v.y
-            inside = cell.x0 < segment.coord < cell.x1
-        if edge_hit and inside:
-            return cell
-    raise AssertionError(f"no cell continues segment {segment.id} past vertex {vid}")
+            hit = (y0 if at_hi else y1) == end and x0 < segment.coord < x1
+        if hit:
+            return cell_id
+    raise AssertionError(f"no cell continues segment {segment.id} past {end}")
 
 
 def weighted_split(mesh, history, cell_id, direction, coord, smoothness, degree, k, kp):
@@ -205,33 +198,33 @@ def weighted_split(mesh, history, cell_id, direction, coord, smoothness, degree,
     under the appearance ordering is at least k (horizontal) / kp (vertical).
     Every hop splits the cell it crosses and is recorded in the history.
     ``smoothness`` is a ConstantSmoothness or an (r, r') pair.  The history
-    is left unchanged when an error is raised.
+    is left unchanged when an error is raised, and HistoryMismatch is raised
+    unless it replays to ``mesh``.
     """
     if history is None:
         raise ValueError("the weighted rule needs a history for the appearance ordering")
     r, rp = smoothness
     events = [SplitEvent(cell_id, direction, as_fraction(coord), "wsplit", (k, kp))]
-    state = _Replay(mesh)
-    base = state.analysis
-    outcome = state.split(events[0])
-    if outcome.segment.interior:
-        state = _replay(history)
-        state.ordering(base)  # HistoryMismatch unless the history replays to mesh
-        outcome = state.split(events[0])
-        threshold = k if direction == HORIZONTAL else kp
-        at_hi = True
-        while outcome.segment.interior:
-            dist = constant_distribution(state.mesh, r, rp)
-            ordering = state.ordering(state.analysis)
-            if segment_weight(state.analysis, dist, degree, ordering, outcome.segment.id).weight >= threshold:
-                break
-            target = _extension_target(state.mesh, outcome.segment, at_hi)
-            events.append(SplitEvent(target.id, direction, events[0].coord, "ext"))
-            outcome = state.split(events[-1])
-            at_hi = not at_hi
+    state = _Replay(history)
+    state.check(mesh)
+    threshold = k if direction == HORIZONTAL else kp
+    inserted = 0
+    at_hi = True
+    while True:
+        coord, lo, hi = state.split(events[-1])
+        inserted += hi - lo
+        outcome, analysis = _outcome(state.rects, direction, coord, lo, hi, inserted)
+        if not outcome.segment.interior:
+            break
+        dist = constant_distribution(outcome.mesh, r, rp)
+        ordering = state.ordering(analysis)
+        if segment_weight(analysis, dist, degree, ordering, outcome.segment.id).weight >= threshold:
+            break
+        target = _extension_target(state.rects, outcome.segment, at_hi)
+        events.append(SplitEvent(target, direction, coord, "ext"))
+        at_hi = not at_hi
     history.events.extend(events)
-    segment = outcome.segment
-    return SplitOutcome(outcome.mesh, segment, _classify(_covered(base, segment), segment))
+    return outcome
 
 
 def appearance_ordering(history, analysis):
@@ -240,7 +233,7 @@ def appearance_ordering(history, analysis):
     Raises HistoryMismatch when the history does not replay to the analyzed
     mesh or a segment cannot be matched to a replay record.
     """
-    return _replay(history).ordering(analysis)
+    return _Replay(history).ordering(analysis)
 
 
 def new_isolated_segment_count(history):
@@ -249,4 +242,4 @@ def new_isolated_segment_count(history):
 
     This is the slack term of the hierarchical biquadratic dimension bound.
     """
-    return _replay(history).isolated
+    return _Replay(history).isolated

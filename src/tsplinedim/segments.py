@@ -95,22 +95,21 @@ def analyze_segments(mesh):
 
 
 def blocking(analysis):
-    """Directed pairs (a, b): segment a blocks segment b.
+    """Directed pairs (a, b), sorted: segment a blocks segment b.
 
     a blocks b when an end point of b lies strictly inside a; only interior
-    segments participate.
+    segments participate.  Only the segment across each end of b can
+    contain that end, so each end is looked up once.
     """
     pairs = []
-    for sid in analysis.mis:
-        seg = analysis.segments[sid]
-        inner = set(seg.vertices[1:-1])
-        for other_id in analysis.mis:
-            if other_id == sid:
-                continue
-            other = analysis.segments[other_id]
-            if other.vertices[0] in inner or other.vertices[-1] in inner:
-                pairs.append((sid, other_id))
-    return tuple(pairs)
+    for b in analysis.mis:
+        seg = analysis.segments[b]
+        across = VERTICAL if seg.horizontal else HORIZONTAL
+        for vid in (seg.vertices[0], seg.vertices[-1]):
+            a = analysis.segments[analysis.segment_through(vid, across)]
+            if a.interior and vid not in (a.vertices[0], a.vertices[-1]):
+                pairs.append((a.id, b))
+    return tuple(sorted(pairs))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
@@ -181,6 +183,21 @@ def test_parse_errors_carry_line_numbers():
         parse_tmesh("tmesh 2\ncell 0 0 1 1\n")
     with pytest.raises(TmeshSyntaxError):
         parse_tmesh("tmesh 1\ncell 0 0 1\n")
+
+
+def test_exponent_tokens_are_refused_quickly():
+    # Fraction("1e99999999") would build a 10**99999999 first; the grammar
+    # (integers, decimals, p/q) has no exponent, so the token is refused.
+    for text, parse in (
+        ("tmesh 1\ncell 0 0 1e99999999 1\n", parse_tmesh),
+        ("tsub 1\ninit 0 0 1E99999999 1\n", parse_tsub),
+        ("tmesh 1\ncell 0 0 1e2 1\n", parse_tmesh),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(BadRational) as info:
+            parse(text)
+        assert time.perf_counter() - start < 0.1
+        assert info.value.line == 2
 
 
 def test_per_node_smoothness_resolution():

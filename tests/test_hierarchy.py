@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 import tsplinedim as t
+from tsplinedim import hierarchy
 from tsplinedim.errors import CoordinateOnCellBoundary, HistoryMismatch, UnknownCell
 
 from meshgen import (
@@ -95,9 +96,10 @@ def test_replay_reproduces_mesh():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0), st.integers(min_value=1, max_value=20))
 def test_stepwise_splits_agree_with_replay(seed, n_splits):
-    """split_cell analyses every mesh afresh, where replay carries one analysis
-    forward.  The births are tracked here as a new segment absorbing the
-    records of every segment it touches on its line."""
+    """split_cell builds and analyses every mesh, where replay only splits the
+    cell list and records edge spans.  The reference tracked here keeps one
+    record per interior segment: a new segment absorbs the records it touches
+    on its line, and it is extended exactly when it touched one."""
     history, _ = random_history(random.Random(seed), n_splits)
     mesh, stepped = t.initial_mesh(*history.initial)
     isolated = 0
@@ -111,6 +113,10 @@ def test_stepwise_splits_agree_with_replay(seed, n_splits):
             span for span in births
             if span[:2] == (seg.direction, seg.coord) and span[2] <= seg.hi and seg.lo <= span[3]
         ]
+        if not seg.interior:
+            assert out.classification == t.BOUNDARY_REACHING
+        else:
+            assert out.classification == (t.EXTENDED_MIS if touched else t.NEW_MIS)
         first = min([index] + [births.pop(span) for span in touched])
         if seg.interior:
             births[(seg.direction, seg.coord, seg.lo, seg.hi)] = first
@@ -199,6 +205,51 @@ def test_weighted_split_history_mismatch_leaves_history_unchanged():
     with pytest.raises(HistoryMismatch):
         t.weighted_split(grid, short, center.id, "v", F(4, 3), smooth, t.Degree(2, 2), 3, 3)
     assert len(short.events) == len(hist.events) - 1
+
+
+def test_weighted_split_boundary_split_on_mismatched_history_raises():
+    # the split reaches the boundary at once, so no weight is ever checked;
+    # the history must still replay to the mesh it is applied to
+    grid, hist = grid3x3_history()
+    short = t.SubdivisionHistory(hist.initial, hist.events[:-1])
+    corner = grid.cell_containing(F(1, 2), F(1, 2))
+    with pytest.raises(HistoryMismatch):
+        t.weighted_split(grid, short, corner.id, "v", F(1, 2), (1, 1), (2, 2), 3, 3)
+    assert short.events == hist.events[:-1]
+
+
+def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
+    """A history replays on its cell list: whatever its length, only the
+    one-cell start and the meshes that are returned or weighed are built."""
+    real = hierarchy.build_mesh
+    built = []
+    monkeypatch.setattr(hierarchy, "build_mesh", lambda rects: built.append(rects) or real(rects))
+
+    def builds(call):
+        built.clear()
+        call()
+        return len(built)
+
+    hops = 0
+    for n_splits in (0, 4, 30):
+        rng = random.Random(n_splits)
+        history, rects = random_history(rng, n_splits)
+        mesh = t.build_mesh(rects)
+        analysis = t.analyze_segments(mesh)
+        assert builds(lambda: t.appearance_ordering(history, analysis)) == 1
+        assert builds(lambda: t.new_isolated_segment_count(history)) == 1
+        assert builds(history.replay) == 2
+        cell = mesh.cells[-1]
+        assert builds(lambda: t.split_cell(mesh, None, cell.id, "h", (cell.y0 + cell.y1) / 2)) == 1
+        for cell in mesh.cells[:8]:
+            trial = history.copy()
+            count = builds(lambda: t.weighted_split(
+                mesh, trial, cell.id, "v", (cell.x0 + cell.x1) / 2, (1, 1), (2, 2), 3, 3
+            ))
+            appended = len(trial.events) - len(history.events)
+            assert count == 1 + appended
+            hops += appended - 1
+    assert hops > 0  # extension hops are counted too
 
 
 def test_weighted_split_takes_constant_smoothness_only():

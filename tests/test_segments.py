@@ -170,3 +170,28 @@ def test_two_interior_segments_meet_in_one_vertex():
                     assert len(shared) <= 1
                     for vid in shared:
                         assert mesh.vertices[vid].kind in ("t-vertex", "crossing")
+
+
+def _blocking_by_scan(analysis):
+    """Reference: every ordered pair of interior segments, scanned directly."""
+    pairs = []
+    for sid in analysis.mis:
+        inner = set(analysis.segments[sid].vertices[1:-1])
+        for other_id in analysis.mis:
+            other = analysis.segments[other_id]
+            if other_id != sid and (other.vertices[0] in inner or other.vertices[-1] in inner):
+                pairs.append((sid, other_id))
+    return tuple(pairs)
+
+
+def test_blocking_matches_the_all_pairs_scan():
+    grid, hist = grid3x3_history()
+    meshes = [pinwheel_mesh(), ex51_mesh(), ex11_mesh(), ex19()[0], subdivide_center_3x3(grid, hist)]
+    rng = random.Random(41)
+    meshes += [random_mesh(rng, rng.randrange(1, 60))[0] for _ in range(150)]
+    checked = 0
+    for mesh in meshes:
+        a = t.analyze_segments(mesh)
+        assert t.blocking(a) == _blocking_by_scan(a)
+        checked += len(t.blocking(a))
+    assert checked > 500  # the family really exercises blocking
