@@ -103,28 +103,12 @@ def _emit_error(exc, as_json):
 
 
 def _counts_dict(mesh):
+    """The face counts, then euler, then the identity checks, in field order."""
     counts = mesh_stats(mesh)
-    report = check_counting_identities(mesh)
     return {
-        "f2": counts.f2,
-        "f1": counts.f1,
-        "f1o": counts.f1o,
-        "f1h": counts.f1h,
-        "f1v": counts.f1v,
-        "f0": counts.f0,
-        "f0o": counts.f0o,
-        "f0plus": counts.f0plus,
-        "f0T": counts.f0T,
-        "f0b": counts.f0b,
-        "corners": counts.corners,
+        **dataclasses.asdict(counts),
         "euler": counts.euler,
-        "identities": {
-            "euler_ok": report.euler_ok,
-            "rectangular": report.rectangular,
-            "nbf_f2_ok": report.nbf_f2_ok,
-            "nbf_f1_ok": report.nbf_f1_ok,
-            "nbf_f0_ok": report.nbf_f0_ok,
-        },
+        "identities": dataclasses.asdict(check_counting_identities(mesh)),
     }
 
 
@@ -158,9 +142,9 @@ def cmd_stats(args, parser):
     if args.json:
         print(json.dumps(payload))
     else:
-        for key in ("f2", "f1", "f1o", "f1h", "f1v", "f0", "f0o", "f0plus", "f0T", "f0b", "corners", "euler"):
-            print(f"{key} {payload[key]}")
-        ids = payload["identities"]
+        ids = payload.pop("identities")
+        for key, value in payload.items():
+            print(f"{key} {value}")
         print(f"euler_ok {ids['euler_ok']}")
         print(f"nbf {'n/a' if not ids['rectangular'] else (ids['nbf_f2_ok'], ids['nbf_f1_ok'], ids['nbf_f0_ok'])}")
     return 0
@@ -255,7 +239,7 @@ def cmd_dim(args, parser):
 def cmd_subdivide(args, parser):
     history = parse_tsub(_read(args.file, parser))
     rule = _parse_pair(args.weighted, "--weighted", parser) if args.weighted else None
-    needs_rule = rule is not None or any(ev.kind == "wsplit" for ev in history.events)
+    needs_rule = rule is not None or any(ev.rule is not None for ev in history.events)
     smoothness = degree = None
     if needs_rule:
         if not args.smooth or args.m is None or args.n is None:

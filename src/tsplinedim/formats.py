@@ -22,15 +22,11 @@ def format_rational(value):
 
 
 def parse_rational(token, line=None):
-    """An integer, a decimal or ``p/q``.  An exponent is refused before
-    ``Fraction`` runs: a short token like ``1e99999999`` would make it build
-    a huge integer first."""
-    if "e" in token or "E" in token:
-        raise BadRational(f"cannot parse rational {token!r}: exponents are not allowed", line)
+    """An integer, a decimal or ``p/q``, read by ``as_fraction``."""
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadRational(f"cannot parse rational {token!r}", line) from exc
+        return as_fraction(token)
+    except ValueError as exc:
+        raise BadRational(str(exc), line) from exc
 
 
 def _parse_int(token, line):
@@ -196,7 +192,7 @@ def parse_tsub(text):
                 events.append(SplitEvent(cell, args[1], coord))
             else:
                 rule = (_parse_int(args[3], number), _parse_int(args[4], number))
-                events.append(SplitEvent(cell, args[1], coord, kind="wsplit", rule=rule))
+                events.append(SplitEvent(cell, args[1], coord, rule))
         else:
             raise UnknownDirective(f"unknown directive {directive!r}", number)
     if initial is None:
@@ -228,7 +224,7 @@ def apply_history(history, smoothness=None, degree=None, rule=None):
     mesh = build_mesh([history.initial])
     expanded = SubdivisionHistory(history.initial)
     for ev in history.events:
-        use_rule = ev.rule if ev.kind == "wsplit" else rule
+        use_rule = rule if ev.rule is None else ev.rule
         if use_rule is not None:
             if smoothness is None or degree is None:
                 raise ValueError("weighted splits need a smoothness and a degree")

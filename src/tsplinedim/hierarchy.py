@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CoordinateOnCellBoundary, HistoryMismatch, UnknownCell
-from .mesh import HORIZONTAL, VERTICAL, as_fraction, build_mesh
+from .mesh import HORIZONTAL, VERTICAL, _normalize_rects, as_fraction, build_mesh
 from .segments import Ordering, analyze_segments, segment_weight
 from .smoothness import constant_distribution
 
@@ -27,8 +27,7 @@ class SplitEvent:
     cell: int  # canonical cell id in the mesh state just before the event
     direction: str  # direction of the inserted edge: "h" or "v"
     coord: Fraction
-    kind: str = "split"  # "split" | "wsplit" | "ext"
-    rule: tuple[int, int] | None = None  # (k, k') recorded on wsplit events
+    rule: tuple[int, int] | None = None  # (k, k') of a parsed wsplit line
 
 
 @dataclass
@@ -110,31 +109,22 @@ def _outcome(rects, direction, coord, lo, hi, inserted):
 class _Replay:
     """A history replayed on its cell list.
 
-    Keeps the cells sorted by (y0, x0); for each line (direction, coord) the
-    (lo, hi, event index) of every edge inserted on it; and the number of
-    events that created a new interior segment with no interior vertex.
+    Keeps the cells sorted by (y0, x0), an index being the canonical cell id,
+    and for each line (direction, coord) the (lo, hi, event index) of every
+    edge inserted on it, in event order.  No mesh is built: the initial
+    rectangle is validated as build_mesh validates a cell, with its errors.
     """
 
     def __init__(self, history):
-        self.rects = build_mesh([history.initial]).cell_rects()
-        self.box = self.rects[0]
+        self.rects = _normalize_rects([history.initial])
         self.lines = {}
-        self.events = 0
-        self.isolated = 0
         for event in history.events:
             self.split(event)
 
     def split(self, event):
         coord, lo, hi = _split(self.rects, event)
-        spans = self.lines.setdefault((event.direction, coord), [])
-        x0, y0, x1, y1 = self.box
-        inside = y0 < lo and hi < y1 if event.direction == VERTICAL else x0 < lo and hi < x1
-        # Earlier spans on the line never reach into the split cell, so the
-        # new edge is a segment on its own unless one of them touches an end.
-        if inside and all(b != lo and a != hi for a, b, _ in spans):
-            self.isolated += 1
-        spans.append((lo, hi, self.events))
-        self.events += 1
+        # Every split adds one cell, so the event index is the cell count - 2.
+        self.lines.setdefault((event.direction, coord), []).append((lo, hi, len(self.rects) - 2))
         return coord, lo, hi
 
     def check(self, mesh):
@@ -204,7 +194,7 @@ def weighted_split(mesh, history, cell_id, direction, coord, smoothness, degree,
     if history is None:
         raise ValueError("the weighted rule needs a history for the appearance ordering")
     r, rp = smoothness
-    events = [SplitEvent(cell_id, direction, as_fraction(coord), "wsplit", (k, kp))]
+    events = [SplitEvent(cell_id, direction, as_fraction(coord))]
     state = _Replay(history)
     state.check(mesh)
     threshold = k if direction == HORIZONTAL else kp
@@ -221,7 +211,7 @@ def weighted_split(mesh, history, cell_id, direction, coord, smoothness, degree,
         if segment_weight(analysis, dist, degree, ordering, outcome.segment.id).weight >= threshold:
             break
         target = _extension_target(state.rects, outcome.segment, at_hi)
-        events.append(SplitEvent(target, direction, coord, "ext"))
+        events.append(SplitEvent(target, direction, coord))
         at_hi = not at_hi
     history.events.extend(events)
     return outcome
@@ -240,6 +230,16 @@ def new_isolated_segment_count(history):
     """Number of events that introduce a new interior segment carrying no
     interior vertex at the moment of its creation.
 
-    This is the slack term of the hierarchical biquadratic dimension bound.
+    This is the slack term of the hierarchical biquadratic dimension bound,
+    read off the replay's spans.  An event counts when both ends of its edge
+    lie strictly inside the initial box and no earlier span on its line ends
+    at its lo or starts at its hi: earlier spans never reach into the split
+    cell, so only one touching an end joins the edge to a longer segment.
     """
-    return _Replay(history).isolated
+    x0, y0, x1, y1 = map(as_fraction, history.initial)
+    across = {VERTICAL: (y0, y1), HORIZONTAL: (x0, x1)}
+    return sum(
+        across[d][0] < lo and hi < across[d][1] and all(b != lo and a != hi for a, b, _ in spans[:i])
+        for (d, _), spans in _Replay(history).lines.items()
+        for i, (lo, hi, _) in enumerate(spans)
+    )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -36,13 +37,21 @@ CORNER = "corner"
 
 
 def as_fraction(value):
-    """Exact coordinate from an int, a Fraction or a rational string.
+    """Exact coordinate from an int, a Fraction or a rational string (an
+    integer, a decimal or ``p/q``; any other string raises ValueError).
 
-    A float is refused: it would silently become its binary expansion.
+    A float is refused: it would silently become its binary expansion.  So is
+    an exponent, before ``Fraction`` runs: a short string like ``"1e99999999"``
+    would make it build a huge integer first.
     """
     if isinstance(value, float):
         raise TypeError(f"coordinate {value!r} is a float; pass an int, a Fraction or a string")
-    return value if isinstance(value, Fraction) else Fraction(value)
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"cannot parse rational {value!r}: exponents are not allowed")
+    try:
+        return value if isinstance(value, Fraction) else Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse rational {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -392,27 +401,20 @@ def _walk_boundary(edges):
 
 def stats(mesh):
     """Face counts of a valid mesh."""
-    f2 = len(mesh.cells)
-    f1 = len(mesh.edges)
-    f1h = sum(1 for e in mesh.edges if e.interior and e.direction == HORIZONTAL)
-    f1v = sum(1 for e in mesh.edges if e.interior and e.direction == VERTICAL)
-    f0 = len(mesh.vertices)
-    f0plus = sum(1 for v in mesh.vertices if v.kind == CROSSING)
-    f0T = sum(1 for v in mesh.vertices if v.kind == T_VERTEX)
-    corners = sum(1 for v in mesh.vertices if v.kind == CORNER)
-    f0b = sum(1 for v in mesh.vertices if not v.interior)
+    kinds = Counter(v.kind for v in mesh.vertices)
+    f1h = sum(1 for eid in mesh.interior_edges if mesh.edges[eid].horizontal)
     return FaceCounts(
-        f2=f2,
-        f1=f1,
-        f1o=f1h + f1v,
+        f2=len(mesh.cells),
+        f1=len(mesh.edges),
+        f1o=len(mesh.interior_edges),
         f1h=f1h,
-        f1v=f1v,
-        f0=f0,
-        f0o=f0plus + f0T,
-        f0plus=f0plus,
-        f0T=f0T,
-        f0b=f0b,
-        corners=corners,
+        f1v=len(mesh.interior_edges) - f1h,
+        f0=len(mesh.vertices),
+        f0o=len(mesh.interior_vertices),
+        f0plus=kinds[CROSSING],
+        f0T=kinds[T_VERTEX],
+        f0b=len(mesh.vertices) - len(mesh.interior_vertices),
+        corners=kinds[CORNER],
     )
 
 
@@ -420,8 +422,8 @@ def is_rectangular_domain(mesh):
     """True when the cell union is exactly its bounding box."""
     x0, y0, x1, y1 = mesh.bbox
     area = sum((c.x1 - c.x0) * (c.y1 - c.y0) for c in mesh.cells)
-    counts = stats(mesh)
-    return area == (x1 - x0) * (y1 - y0) and counts.corners == 4
+    corners = sum(1 for v in mesh.vertices if v.kind == CORNER)
+    return area == (x1 - x0) * (y1 - y0) and corners == 4
 
 
 def check_counting_identities(mesh):

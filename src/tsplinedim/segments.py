@@ -32,8 +32,6 @@ class SegmentAnalysis:
         self.mesh = mesh
         self.segments: tuple[MaxSegment, ...] = segments
         self.mis = tuple(s.id for s in segments if s.interior)
-        self.mis_h = tuple(s.id for s in segments if s.interior and s.horizontal)
-        self.mis_v = tuple(s.id for s in segments if s.interior and not s.horizontal)
         self._through: dict[tuple[int, str], int] = {}
         self._mis_at_vertex: dict[int, tuple[int, ...]] = {}
         for seg in segments:
@@ -196,10 +194,8 @@ def _transversal_weight(analysis, dist, degree, seg, vertex_id):
 def is_weighted(analysis, dist, degree, ordering, k, kp):
     """True iff every horizontal interior segment has weight >= k and every
     vertical one weight >= kp (vacuously true without interior segments)."""
-    for sid in analysis.mis_h:
-        if segment_weight(analysis, dist, degree, ordering, sid).weight < k:
-            return False
-    for sid in analysis.mis_v:
-        if segment_weight(analysis, dist, degree, ordering, sid).weight < kp:
-            return False
-    return True
+    return all(
+        segment_weight(analysis, dist, degree, ordering, sid).weight
+        >= (k if analysis.segments[sid].horizontal else kp)
+        for sid in analysis.mis
+    )

@@ -27,19 +27,17 @@ class Degree(NamedTuple):
 
 class SmoothnessDistribution:
     def __init__(self, mesh, r_h, r_v):
-        self.r_h = {as_fraction(k): operator.index(v) for k, v in r_h.items()}
-        self.r_v = {as_fraction(k): operator.index(v) for k, v in r_v.items()}
+        # A vertical line at x carries r_h(x); a horizontal line at y, r_v(y).
+        self._orders = {(VERTICAL, as_fraction(x)): operator.index(r) for x, r in r_h.items()}
+        self._orders.update(((HORIZONTAL, as_fraction(y)), operator.index(r)) for y, r in r_v.items())
         for x in mesh.nodes_x:
-            if x not in self.r_h:
+            if (VERTICAL, x) not in self._orders:
                 raise UnknownNode(f"missing smoothness for vertical node line x={x}")
         for y in mesh.nodes_y:
-            if y not in self.r_v:
+            if (HORIZONTAL, y) not in self._orders:
                 raise UnknownNode(f"missing smoothness for horizontal node line y={y}")
-        if any(v < 0 for v in self.r_h.values()) or any(v < 0 for v in self.r_v.values()):
+        if any(r < 0 for r in self._orders.values()):
             raise ValueError("smoothness orders must be nonnegative")
-        # A vertical line at x carries r_h(x); a horizontal line at y, r_v(y).
-        self._orders = {(VERTICAL, x): r for x, r in self.r_h.items()}
-        self._orders.update(((HORIZONTAL, y), r) for y, r in self.r_v.items())
 
     def order(self, direction, coord):
         """Continuity order across the ``direction`` line at ``coord``.
@@ -55,8 +53,8 @@ class SmoothnessDistribution:
             raise UnknownNode(f"no {direction} node line at {coord}") from None
 
     def is_constant(self):
-        hs = set(self.r_h.values())
-        vs = set(self.r_v.values())
+        hs = {r for (direction, _), r in self._orders.items() if direction == VERTICAL}
+        vs = {r for (direction, _), r in self._orders.items() if direction == HORIZONTAL}
         if len(hs) == 1 and len(vs) == 1:
             return (hs.pop(), vs.pop())
         return None

@@ -22,11 +22,10 @@ def _fmt(value):
     return f"{float(value):g}"
 
 
-def render_svg(mesh, analysis=None):
+def render_svg(mesh):
     """SVG picture: cells, edges (interior vs boundary), highlighted interior
     segments, and vertices marked by kind.  Output is byte-deterministic."""
-    if analysis is None:
-        analysis = analyze_segments(mesh)
+    analysis = analyze_segments(mesh)
     x0, y0, x1, y1 = mesh.bbox
     margin = max(x1 - x0, y1 - y0) * Fraction(1, 20)
     flip = y0 + y1  # mirror so the y axis points up

@@ -7,7 +7,7 @@ import pytest
 from tsplinedim import oracle
 from tsplinedim.cli import main
 
-from meshgen import EX11_CELLS, EX51_CELLS
+from meshgen import EX11_CELLS, EX51_CELLS, L_CELLS, PINWHEEL_CELLS, grid_cells
 
 
 @pytest.fixture()
@@ -90,6 +90,59 @@ def test_stats_json(ex11_file, capsys):
     assert payload["f2"] == 7 and payload["f1o"] == 9 and payload["f0o"] == 3
     assert payload["f0b"] == 15 and payload["corners"] == 12
     assert payload["identities"]["euler_ok"] is True
+
+
+# Exact `stats`, `stats --json` and `validate --json` output: the text layout,
+# the JSON key order (the FaceCounts fields, euler, then the IdentityReport
+# fields) and every value.
+_PINNED_COUNTS = {
+    "ex11": (
+        EX11_CELLS,
+        'f2 7\nf1 24\nf1o 9\nf1h 4\nf1v 5\nf0 18\nf0o 3\n'
+        'f0plus 1\nf0T 2\nf0b 15\ncorners 12\neuler 1\neuler_ok True\nnbf n/a\n',
+        '{"f2": 7, "f1": 24, "f1o": 9, "f1h": 4, "f1v": 5, "f0": 18, "f0o": 3, "f0plus": 1, '
+        '"f0T": 2, "f0b": 15, "corners": 12, "euler": 1, "identities": {"euler_ok": true, '
+        '"rectangular": false, "nbf_f2_ok": null, "nbf_f1_ok": null, "nbf_f0_ok": null}}\n',
+    ),
+    "L": (
+        L_CELLS,
+        'f2 3\nf1 10\nf1o 2\nf1h 1\nf1v 1\nf0 8\nf0o 0\n'
+        'f0plus 0\nf0T 0\nf0b 8\ncorners 6\neuler 1\neuler_ok True\nnbf n/a\n',
+        '{"f2": 3, "f1": 10, "f1o": 2, "f1h": 1, "f1v": 1, "f0": 8, "f0o": 0, "f0plus": 0, '
+        '"f0T": 0, "f0b": 8, "corners": 6, "euler": 1, "identities": {"euler_ok": true, '
+        '"rectangular": false, "nbf_f2_ok": null, "nbf_f1_ok": null, "nbf_f0_ok": null}}\n',
+    ),
+    "grid3": (
+        grid_cells(3, 3),
+        'f2 9\nf1 24\nf1o 12\nf1h 6\nf1v 6\nf0 16\nf0o 4\n'
+        'f0plus 4\nf0T 0\nf0b 12\ncorners 4\neuler 1\neuler_ok True\nnbf (True, True, True)\n',
+        '{"f2": 9, "f1": 24, "f1o": 12, "f1h": 6, "f1v": 6, "f0": 16, "f0o": 4, "f0plus": 4, '
+        '"f0T": 0, "f0b": 12, "corners": 4, "euler": 1, "identities": {"euler_ok": true, '
+        '"rectangular": true, "nbf_f2_ok": true, "nbf_f1_ok": true, "nbf_f0_ok": true}}\n',
+    ),
+    "pinwheel": (
+        PINWHEEL_CELLS,
+        'f2 13\nf1 36\nf1o 24\nf1h 12\nf1v 12\nf0 24\nf0o 12\n'
+        'f0plus 4\nf0T 8\nf0b 12\ncorners 4\neuler 1\neuler_ok True\nnbf (True, True, True)\n',
+        '{"f2": 13, "f1": 36, "f1o": 24, "f1h": 12, "f1v": 12, "f0": 24, "f0o": 12, "f0plus": 4, '
+        '"f0T": 8, "f0b": 12, "corners": 4, "euler": 1, "identities": {"euler_ok": true, '
+        '"rectangular": true, "nbf_f2_ok": true, "nbf_f1_ok": true, "nbf_f0_ok": true}}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_COUNTS))
+def test_counts_output_pinned(name, tmp_path, capsys):
+    cells, text, payload = _PINNED_COUNTS[name]
+    path = tmp_path / f"{name}.tmesh"
+    path.write_text("tmesh 1\n" + "".join(f"cell {a} {b} {c} {d}\n" for a, b, c, d in cells))
+    for argv, expected in (
+        (["stats", str(path)], text),
+        (["stats", str(path), "--json"], payload),
+        (["validate", str(path), "--json"], '{"ok": true, ' + payload[1:]),
+    ):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_usage_errors(ex51_file, capsys):

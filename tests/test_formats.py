@@ -254,6 +254,12 @@ def test_tsub_weighted_lines():
         "split 3 h 2\nsplit 4 h 2\nsplit 5 h 2\n"
         "split 4 v 3/2\nsplit 8 v 3/2\n"
     )
+    # the expanded events carry no rule, so the history replays as recorded
+    # with or without a smoothness and a degree at hand
+    for context in ((), ((1, 1), (2, 2))):
+        again, events = apply_history(expanded, *context)
+        assert again.cell_rects() == mesh.cell_rects()
+        assert events.events == expanded.events
 
 
 def test_tsub_errors():

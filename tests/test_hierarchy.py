@@ -220,7 +220,7 @@ def test_weighted_split_boundary_split_on_mismatched_history_raises():
 
 def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
     """A history replays on its cell list: whatever its length, only the
-    one-cell start and the meshes that are returned or weighed are built."""
+    meshes that are returned or weighed are built."""
     real = hierarchy.build_mesh
     built = []
     monkeypatch.setattr(hierarchy, "build_mesh", lambda rects: built.append(rects) or real(rects))
@@ -236,9 +236,9 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
         history, rects = random_history(rng, n_splits)
         mesh = t.build_mesh(rects)
         analysis = t.analyze_segments(mesh)
-        assert builds(lambda: t.appearance_ordering(history, analysis)) == 1
-        assert builds(lambda: t.new_isolated_segment_count(history)) == 1
-        assert builds(history.replay) == 2
+        assert builds(lambda: t.appearance_ordering(history, analysis)) == 0
+        assert builds(lambda: t.new_isolated_segment_count(history)) == 0
+        assert builds(history.replay) == 1
         cell = mesh.cells[-1]
         assert builds(lambda: t.split_cell(mesh, None, cell.id, "h", (cell.y0 + cell.y1) / 2)) == 1
         for cell in mesh.cells[:8]:
@@ -247,7 +247,7 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
                 mesh, trial, cell.id, "v", (cell.x0 + cell.x1) / 2, (1, 1), (2, 2), 3, 3
             ))
             appended = len(trial.events) - len(history.events)
-            assert count == 1 + appended
+            assert count == appended
             hops += appended - 1
     assert hops > 0  # extension hops are counted too
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 from fractions import Fraction as F
@@ -92,6 +93,22 @@ def test_float_coordinates_rejected():
         t.build_mesh([(0, 0, 0.1, 1)])
     exact = t.build_mesh([(0, 0, "1/10", F(1))])
     assert exact.cells[0].rect == (0, 0, F(1, 10), 1)
+
+
+def test_exponent_strings_are_refused_quickly():
+    # Fraction("1e99999999") would build a 10**99999999 first; the rational
+    # grammar (integers, decimals, p/q) has no exponent, so it is refused.
+    mesh, _ = t.initial_mesh(0, 0, 200, 1)
+    for token in ("1e2", "1e99999999"):
+        for call in (
+            lambda: t.build_mesh([(0, 0, token, 1)]),
+            lambda: t.initial_mesh(0, 0, token, 1),
+            lambda: t.split_cell(mesh, None, 0, "v", token),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="exponents are not allowed"):
+                call()
+            assert time.perf_counter() - start < 0.1
 
 
 def test_build_deterministic_under_input_order():
