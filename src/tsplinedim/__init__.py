@@ -32,6 +32,7 @@ from .errors import (
     DuplicatePoints,
     HistoryMismatch,
     MeshError,
+    NonConstantSmoothness,
     OverlappingCells,
     TmeshSyntaxError,
     UnknownCell,

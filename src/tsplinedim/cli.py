@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import dimension, oracle
-from .errors import MeshError
+from .errors import MeshError, NonConstantSmoothness
 from .formats import (
     apply_history,
     document_mesh,
@@ -23,7 +23,6 @@ from .formats import (
     parse_tmesh,
     parse_tsub,
 )
-from .linalg import rational_rank
 from .mesh import check_counting_identities, stats as mesh_stats
 from .segments import analyze_segments, blocking, segment_weight
 from .svg import render_svg
@@ -61,7 +60,11 @@ def _build_parser():
            smooth=True, degree=True, ordering=True)
     p_dim = sub.add_parser("dim", help="dimension bounds (and exact dimension with --exact)")
     common(p_dim, smooth=True, degree=True, ordering=True)
-    p_dim.add_argument("--exact", action="store_true", help="run the exact rational oracle")
+    p_dim.add_argument(
+        "--exact",
+        action="store_true",
+        help="exact dimension: the combinatorial term plus the defect of the segment presentation",
+    )
     p_dim.add_argument("--dump-matrix", metavar="PATH", help="write the constraint system as triplets")
     p_sub = sub.add_parser("subdivide", help="apply a tsub history, print the resulting tmesh")
     p_sub.add_argument("file", help="tsub v1 history file")
@@ -120,10 +123,20 @@ def _smoothness_for(args, doc, mesh, parser):
     return dist
 
 
-def _history_for(args, parser):
-    if args.history:
-        return parse_tsub(_read(args.history, parser))
-    return None
+def _history_for(args, parser, dist, degree):
+    """The --history file, each wsplit line expanded into its elementary
+    splits by the weighted rule under the query's degree and smoothness."""
+    if not args.history:
+        return None
+    history = parse_tsub(_read(args.history, parser))
+    if any(ev.rule is not None for ev in history.events):
+        constant = dist.is_constant()
+        if constant is None:
+            raise NonConstantSmoothness(
+                "a wsplit line in --history runs the weighted rule, which needs constant smoothness"
+            )
+        history = apply_history(history, constant, degree)[1]
+    return history
 
 
 def cmd_validate(args, parser):
@@ -156,7 +169,7 @@ def cmd_mis(args, parser):
     dist = _smoothness_for(args, doc, mesh, parser)
     degree = (args.m, args.n)
     analysis = analyze_segments(mesh)
-    history = _history_for(args, parser)
+    history = _history_for(args, parser, dist, degree)
     ordering, _ = dimension._choose_ordering(analysis, dist, degree, args.ordering, history)
     blocks = {}
     for a, b in blocking(analysis):
@@ -199,16 +212,17 @@ def cmd_dim(args, parser):
     mesh = document_mesh(doc)
     dist = _smoothness_for(args, doc, mesh, parser)
     degree = (args.m, args.n)
-    history = _history_for(args, parser)
-    report = dimension.dimension_bounds(mesh, dist, degree, args.ordering, history)
-    if args.dump_matrix or args.exact:
-        system = oracle.build_spline_system(mesh, dist, degree)
+    history = _history_for(args, parser, dist, degree)
+    analysis = analyze_segments(mesh)
+    report = dimension.dimension_bounds(mesh, dist, degree, args.ordering, history, analysis=analysis)
     if args.dump_matrix:
         with open(args.dump_matrix, "w", encoding="utf-8") as fh:
-            fh.write(system.dump_triplets())
+            fh.write(oracle.build_spline_system(mesh, dist, degree).dump_triplets())
     if args.exact:
-        dim_value = system.ncols - rational_rank(system)
-        h_value = dim_value - report.combinatorial
+        # dim = combinatorial term + h.  The kernel of the cell system,
+        # oracle.spline_dimension_exact, is the reference the tests hold this to.
+        h_value = oracle.h_via_mis_presentation(mesh, dist, degree, analysis)
+        dim_value = report.combinatorial + h_value
         certificate = report.certificate
         if certificate == dimension.CERT_NONE:
             certificate = dimension.CERT_ORACLE

@@ -37,6 +37,10 @@ class HistoryMismatch(MeshError):
     """A subdivision history does not replay to the mesh it was paired with."""
 
 
+class NonConstantSmoothness(MeshError):
+    """The weighted subdivision rule was asked to run under per-line smoothness."""
+
+
 class DuplicatePoints(MeshError):
     """Shifted-power points must be pairwise distinct."""
 

@@ -1,9 +1,13 @@
-"""Exact rational brute-force computations for spline space dimensions.
+"""Exact rational computations for spline space dimensions.
 
 Everything here assembles constraint matrices over the rationals and reduces
 dimension questions to exact ranks: the spline space itself as the kernel of
 the smoothness-difference map, and the homology defect three independent
-ways.  These are the oracles the combinatorial formulas are tested against.
+ways.  ``dim --exact`` prints the combinatorial term plus
+``h_via_mis_presentation``, whose system has one block per interior segment
+and one relation per interior vertex.  The kernel (``spline_dimension_exact``,
+``h_exact``) is the definition of the space: it stays the reference that the
+tests check the other routes and the combinatorial formulas against.
 """
 
 from __future__ import annotations

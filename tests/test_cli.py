@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import tsplinedim as t
 from tsplinedim import oracle
 from tsplinedim.cli import main
 
@@ -337,3 +338,67 @@ def test_cli_token_fuzz_never_raises(tmp_path, capsys):
             codes.add(code)
         capsys.readouterr()
     assert codes == {0, 1, 2}
+
+
+def _tmesh_file(tmp_path, name, cells):
+    path = tmp_path / f"{name}.tmesh"
+    path.write_text("tmesh 1\n" + "".join(f"cell {a} {b} {c} {d}\n" for a, b, c, d in cells))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, cells", [("ex11", EX11_CELLS), ("ex51", EX51_CELLS), ("pinwheel", PINWHEEL_CELLS)])
+@pytest.mark.parametrize("degree, order", [((2, 2), 1), ((3, 3), 1), ((2, 2), 0), ((3, 3), 2)])
+def test_dim_exact_matches_the_kernel(name, cells, degree, order, tmp_path, capsys):
+    path = _tmesh_file(tmp_path, name, cells)
+    m, n = degree
+    argv = ["dim", path, "-m", str(m), "-n", str(n), "--smooth", f"{order},{order}", "--exact", "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    mesh = t.build_mesh(cells)
+    dist = t.constant_distribution(mesh, order, order)
+    kernel = oracle.spline_dimension_exact(mesh, dist, degree)
+    assert (payload["dim"], payload["h"]) == (kernel, kernel - t.combinatorial_term(mesh, dist, degree))
+
+
+def test_dim_exact_assembles_no_cell_system(ex51_file, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("dim --exact assembled the cell system")
+
+    monkeypatch.setattr(oracle, "build_spline_system", refuse)
+    assert main(["dim", ex51_file, "-m", "2", "-n", "2", "--smooth", "1,1", "--exact"]) == 0
+    out = capsys.readouterr().out
+    assert "dim 15\nh 1\n" in out
+
+
+# Three full-height strips; the wsplit in the middle strip makes a segment of
+# weight 2 under (2,2) C1, below the rule's 3, so the rule adds one hop.
+_WSPLIT_HISTORY = "tsub 1\ninit 0 0 8 8\nsplit 0 v 2\nsplit 1 v 6\nwsplit 1 h 4 3 3\nsplit 0 h 3\n"
+
+
+def test_history_with_wsplit_lines_reads_like_its_expansion(tmp_path, capsys):
+    original = tmp_path / "weighted.tsub"
+    original.write_text(_WSPLIT_HISTORY)
+    emitted = tmp_path / "elementary.tsub"
+    space = ["-m", "2", "-n", "2", "--smooth", "1,1"]
+    assert main(["subdivide", str(original), *space, "--emit-history", str(emitted)]) == 0
+    mesh = tmp_path / "weighted.tmesh"
+    mesh.write_text(capsys.readouterr().out)
+    assert emitted.read_text().count("split") > _WSPLIT_HISTORY.count("split")  # the rule hopped
+    for command in ("dim", "mis"):
+        outputs = []
+        for history in (original, emitted):
+            assert main([command, str(mesh), *space, "--history", str(history)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+def test_history_with_wsplit_lines_needs_constant_smoothness(tmp_path, capsys):
+    original = tmp_path / "weighted.tsub"
+    original.write_text(_WSPLIT_HISTORY)
+    space = ["-m", "2", "-n", "2", "--smooth", "1,1"]
+    assert main(["subdivide", str(original), *space]) == 0
+    mesh = tmp_path / "weighted.tmesh"
+    mesh.write_text(capsys.readouterr().out + "default-smooth 1 1\nsmooth h 2 0\n")
+    argv = ["dim", str(mesh), "-m", "2", "-n", "2", "--history", str(original), "--json"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "NonConstantSmoothness"

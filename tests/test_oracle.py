@@ -2,17 +2,20 @@ import random
 
 import pytest
 from fractions import Fraction as F
+from hypothesis import given, settings, strategies as st
 
 import tsplinedim as t
 from tsplinedim.errors import DegreeOutOfRange, DuplicatePoints
 from tsplinedim.linalg import SparseRationalMatrix
 
 from meshgen import (
+    PINWHEEL_CELLS,
     ex19,
     ex51_mesh,
     grid3x3_history,
     grid_mesh,
     pinwheel_mesh,
+    random_history,
     random_mesh,
     subdivide_center_3x3,
     univariate_spline_dim,
@@ -173,3 +176,68 @@ def test_pinwheel_sandwich():
     bound = t.h_upper_bound(a, dist, (2, 2), order).total
     dim = t.spline_dimension_exact(mesh, dist, (2, 2))
     assert C <= dim <= C + bound
+
+
+_SPLIT_FRACTIONS = (F(1, 4), F(1, 2), F(3, 4))
+_PINWHEEL_2X2 = [
+    (x0 + dx, y0 + dy, x1 + dx, y1 + dy)
+    for dx in (0, 5) for dy in (0, 5) for x0, y0, x1, y1 in PINWHEEL_CELLS
+]
+
+
+def _split_random_cells(rng, cells, count):
+    """Split ``count`` random cells across their full width or height."""
+    rects = [tuple(map(F, rect)) for rect in cells]
+    for _ in range(count):
+        x0, y0, x1, y1 = rects.pop(rng.randrange(len(rects)))
+        frac = rng.choice(_SPLIT_FRACTIONS)
+        if rng.random() < 0.5:
+            c = x0 + (x1 - x0) * frac
+            rects += [(x0, y0, c, y1), (c, y0, x1, y1)]
+        else:
+            c = y0 + (y1 - y0) * frac
+            rects += [(x0, y0, x1, c), (x0, c, x1, y1)]
+    return rects
+
+
+def _exact_dimension(cells, degree, r_h, r_v):
+    """(kernel dimension, combinatorial term + MIS-presentation defect)."""
+    mesh = t.build_mesh(cells)
+    dist = t.SmoothnessDistribution(mesh, r_h, r_v)
+    term = t.combinatorial_term(mesh, dist, degree)
+    return t.spline_dimension_exact(mesh, dist, degree), term + t.h_via_mis_presentation(mesh, dist, degree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["hierarchical", "pinwheel", "pinwheel-2x2"]), st.integers(min_value=0))
+def test_exact_routes_agree_on_large_meshes(family, seed):
+    # `dim --exact` prints combinatorial_term + h_via_mis_presentation; the
+    # kernel of the cell system is the definition it must reproduce, on
+    # hierarchical meshes and on refined pinwheels, which are not.
+    rng = random.Random(seed)
+    history = None
+    if family == "hierarchical":
+        history, cells = random_history(rng, rng.randint(40, 55))
+    elif family == "pinwheel":
+        cells = _split_random_cells(rng, PINWHEEL_CELLS, rng.randint(28, 45))
+    else:
+        cells = _split_random_cells(rng, _PINWHEEL_2X2, rng.randint(0, 10))
+    mesh = t.build_mesh(cells)
+    assert len(mesh.cells) > 40
+    degree = m, n = rng.randint(1, 3), rng.randint(1, 3)
+    r_h = {x: rng.randint(0, m + 1) for x in mesh.nodes_x}
+    r_v = {y: rng.randint(0, n + 1) for y in mesh.nodes_y}
+    dist = t.SmoothnessDistribution(mesh, r_h, r_v)
+
+    dim = t.spline_dimension_exact(mesh, dist, degree)
+    term = t.combinatorial_term(mesh, dist, degree)
+    h = dim - term
+    assert t.h_via_h0(mesh, dist, degree) == h
+    assert t.h_via_mis_presentation(mesh, dist, degree) == h
+    report = t.dimension_bounds(mesh, dist, degree, "auto", history)
+    assert report.h_lower <= h <= report.h_upper
+
+    transposed = [(y0, x0, y1, x1) for x0, y0, x1, y1 in cells]
+    assert _exact_dimension(transposed, (n, m), r_v, r_h) == (dim, dim)
+    reflected = [(-x1, y0, -x0, y1) for x0, y0, x1, y1 in cells]
+    assert _exact_dimension(reflected, degree, {-x: r for x, r in r_h.items()}, r_v) == (dim, dim)

@@ -44,3 +44,21 @@ def test_orders_are_read_only_through_the_distribution_lookup():
             if isinstance(node, ast.Attribute) and node.attr in per_axis
         ]
     assert found == []
+
+
+def test_cli_ranks_no_matrix_itself():
+    # `dim --exact` answers from the segment presentation; the cell-system
+    # kernel stays a library reference, so the command line never imports
+    # the rank kernel.
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            continue
+        found += [f"cli.py:{node.lineno} {name}" for name in modules if "linalg" in name.split(".")]
+    assert found == []
