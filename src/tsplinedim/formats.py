@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import BadRational, TmeshSyntaxError, UnknownDirective, UnknownNode
 from .hierarchy import SplitEvent, SubdivisionHistory, split_cell, weighted_split
-from .mesh import as_fraction, build_mesh
+from .mesh import as_fraction, build_mesh, to_lattice
 from .smoothness import SmoothnessDistribution, constant_distribution
 
 
@@ -27,6 +27,20 @@ def parse_rational(token, line=None):
         return as_fraction(token)
     except ValueError as exc:
         raise BadRational(str(exc), line) from exc
+
+
+def _token_reader():
+    """``parse_rational`` behind a per-document ``{token: Fraction}`` memo, so
+    each distinct token is read once; a bad token raises on its first line."""
+    memo = {}
+
+    def read(token, line):
+        value = memo.get(token)
+        if value is None:
+            value = memo[token] = parse_rational(token, line)
+        return value
+
+    return read
 
 
 def _parse_int(token, line):
@@ -58,9 +72,11 @@ class MeshDocument:
 
         Coordinates go through ``as_fraction`` and orders through
         ``operator.index``, so a float raises TypeError instead of becoming
-        a rational.
+        a rational.  The cells sort on their integer-lattice keys, in the
+        order of their ``Fraction`` tuples.
         """
-        cells = tuple(sorted(tuple(map(as_fraction, rect)) for rect in cells))
+        cells = [tuple(map(as_fraction, rect)) for rect in cells]
+        cells = tuple(cell for _, cell in sorted(zip(to_lattice(cells), cells), key=operator.itemgetter(0)))
         if default_smooth is not None:
             default_smooth = tuple(map(operator.index, default_smooth))
         smooth_h = tuple(sorted((as_fraction(k), operator.index(v)) for k, v in dict(smooth_h).items()))
@@ -77,6 +93,7 @@ def parse_tmesh(text):
     if header != ["tmesh", "1"]:
         raise TmeshSyntaxError("expected header 'tmesh 1'", number)
 
+    rational = _token_reader()
     cells = []
     default_smooth = None
     smooth_h = {}
@@ -86,14 +103,14 @@ def parse_tmesh(text):
         if directive == "cell":
             if len(args) != 4:
                 raise TmeshSyntaxError("cell needs 4 coordinates", number)
-            x0, y0, x1, y1 = (parse_rational(t, number) for t in args)
+            x0, y0, x1, y1 = (rational(t, number) for t in args)
             if x0 >= x1 or y0 >= y1:
                 raise TmeshSyntaxError("degenerate rectangle", number)
             cells.append((x0, y0, x1, y1))
         elif directive == "smooth":
             if len(args) != 3 or args[0] not in ("h", "v"):
                 raise TmeshSyntaxError("usage: smooth h|v <node> <order>", number)
-            node = parse_rational(args[1], number)
+            node = rational(args[1], number)
             order = _parse_int(args[2], number)
             if order < 0:
                 raise TmeshSyntaxError("smoothness order must be nonnegative", number)
@@ -166,6 +183,7 @@ def parse_tsub(text):
     if header != ["tsub", "1"]:
         raise TmeshSyntaxError("expected header 'tsub 1'", number)
 
+    rational = _token_reader()
     initial = None
     events = []
     for number, tokens in lines:
@@ -175,7 +193,7 @@ def parse_tsub(text):
                 raise TmeshSyntaxError("duplicate init line", number)
             if len(args) != 4:
                 raise TmeshSyntaxError("init needs 4 coordinates", number)
-            x0, y0, x1, y1 = (parse_rational(t, number) for t in args)
+            x0, y0, x1, y1 = (rational(t, number) for t in args)
             if x0 >= x1 or y0 >= y1:
                 raise TmeshSyntaxError("degenerate initial rectangle", number)
             initial = (x0, y0, x1, y1)
@@ -187,7 +205,7 @@ def parse_tsub(text):
                 raise TmeshSyntaxError(f"usage: {directive} <cell-id> h|v <coord>"
                                        + ("" if directive == "split" else " <k> <k'>"), number)
             cell = _parse_int(args[0], number)
-            coord = parse_rational(args[2], number)
+            coord = rational(args[2], number)
             if directive == "split":
                 events.append(SplitEvent(cell, args[1], coord))
             else:

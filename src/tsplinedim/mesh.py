@@ -196,6 +196,17 @@ def _normalize_rects(rectangles):
     return rects
 
 
+def to_lattice(rects):
+    """The rects of exact coordinates on one integer lattice: every coordinate
+    times the lcm of all their denominators.
+
+    The scaling is monotone and one-to-one, so the integer tuples sort, key
+    and compare exactly as the ``Fraction`` tuples do, at int speed.
+    """
+    scale = math.lcm(*{v.denominator for rect in rects for v in rect})
+    return [tuple(v.numerator * (scale // v.denominator) for v in rect) for rect in rects]
+
+
 def _format_rect(rect):
     return "[" + ", ".join(str(v) for v in rect) + "]"
 
@@ -240,15 +251,13 @@ def build_mesh(rectangles):
     """Build a validated TMesh from rational rectangles with disjoint interiors."""
     rects = _normalize_rects(rectangles)
 
-    # One integer lattice: scale every coordinate by the lcm of all their
-    # denominators.  The scaling is monotone and one-to-one, so sorting,
-    # keying and comparing on the lattice gives the canonical order and ids,
-    # and `exact` maps each lattice value back to its one Fraction.
-    scale = math.lcm(*{v.denominator for rect in rects for v in rect})
+    # Sorting, keying and comparing on the integer lattice gives the
+    # canonical order and ids; `exact` maps each lattice value back to its
+    # one Fraction.
     exact = {}
     keyed = []
-    for rect in rects:
-        x0, y0, x1, y1 = ints = tuple(v.numerator * (scale // v.denominator) for v in rect)
+    for rect, ints in zip(rects, to_lattice(rects)):
+        x0, y0, x1, y1 = ints
         exact.update(zip(ints, rect))
         keyed.append(((y0, x0, y1, x1), rect))
     keyed.sort(key=itemgetter(0))

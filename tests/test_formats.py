@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 import tsplinedim as t
+from tsplinedim import formats
 from tsplinedim.errors import (
     BadRational,
     MeshError,
@@ -106,6 +107,8 @@ def _rectangles(draw):
 def test_tmesh_roundtrip_property(cells, default_smooth, smooth_h, smooth_v):
     doc = MeshDocument.make(cells, default_smooth, smooth_h, smooth_v)
     assert parse_tmesh(format_tmesh(doc)) == doc
+    # the lattice sort keeps the order of the Fraction tuples
+    assert doc.cells == tuple(sorted(tuple(map(F, r)) for r in cells))
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,6 +186,32 @@ def test_parse_errors_carry_line_numbers():
         parse_tmesh("tmesh 2\ncell 0 0 1 1\n")
     with pytest.raises(TmeshSyntaxError):
         parse_tmesh("tmesh 1\ncell 0 0 1\n")
+    # each token is read once; errors still name the line they are on
+    with pytest.raises(BadRational) as info:
+        parse_tmesh("tmesh 1\ncell 0 0 1 1\ncell 1 0 1/0 1\ncell 1/0 0 2 1\n")
+    assert info.value.line == 3
+    with pytest.raises(TmeshSyntaxError) as info:
+        parse_tmesh("tmesh 1\ncell 0 0 1 1\ncell 1 0 2 1\ncell 1 0 1 2\n")
+    assert info.value.line == 4
+    doc = parse_tmesh("tmesh 1\ncell 0 0 1/2 1\ncell 0 0 0.5 1\ncell 0 0 2/4 1\n")
+    assert doc.cells == ((F(0), F(0), F(1, 2), F(1)),) * 3
+
+
+def test_each_distinct_token_is_parsed_once(monkeypatch):
+    parses = []
+
+    def counting_parse_rational(token, line=None):
+        parses.append(token)
+        return formats.as_fraction(token)
+
+    monkeypatch.setattr(formats, "parse_rational", counting_parse_rational)
+    text = "tmesh 1\n" + "".join(f"cell {i} {j} {i + 1} {j + 1}\n" for i in range(32) for j in range(32))
+    doc = parse_tmesh(text)
+    assert len(doc.cells) == 32 * 32
+    assert len(parses) == len(set(parses)) == 33
+    parses.clear()
+    parse_tsub("tsub 1\ninit 0 0 4 4\nsplit 0 v 2\nsplit 0 h 2\nsplit 1 h 2\n")
+    assert sorted(parses) == ["0", "2", "4"]
 
 
 def test_exponent_tokens_are_refused_quickly():
