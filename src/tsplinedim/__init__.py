@@ -20,7 +20,6 @@ from .dimension import (
     exactness_certificate,
     h_upper_bound,
     search_ordering,
-    shifted_power_codim,
 )
 from .errors import (
     BadRational,

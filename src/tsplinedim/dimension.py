@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegreeOutOfRange, DuplicatePoints
+from .hierarchy import appearance_ordering
 from .segments import (
     Ordering,
     _transversal_weight,
@@ -43,11 +44,6 @@ def apolar_dim(n, points):
     if not points:
         return 0
     return min(n + 1, total)
-
-
-def shifted_power_codim(n, points):
-    """Companion value: codimension (n + 1 - sum(n - d_i + 1)) clamped at 0."""
-    return max(0, n + 1 - sum(n - d + 1 for _, d in points))
 
 
 def combinatorial_term(mesh, dist, degree):
@@ -242,10 +238,11 @@ class DimensionReport:
 def _choose_ordering(analysis, dist, degree, ordering_policy, history):
     """The ordering a report uses, with its defect bound.
 
-    "auto" takes the default ordering; "search" takes the search result
-    instead only when its bound is strictly smaller.
+    "auto" takes the appearance order when a history is given, else the
+    blocking-topological order; "search" takes the search result instead
+    only when its bound is strictly smaller.
     """
-    ordering = default_ordering(analysis, history)
+    ordering = default_ordering(analysis) if history is None else appearance_ordering(history, analysis)
     bound = h_upper_bound(analysis, dist, degree, ordering)
     if ordering_policy == "search":
         found = search_ordering(analysis, dist, degree)

@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadRational, TmeshSyntaxError, UnknownDirective, UnknownNode
-from .hierarchy import SplitEvent, SubdivisionHistory, split_cell, weighted_split
+from .hierarchy import SplitEvent, SubdivisionHistory, weighted_split
 from .mesh import as_fraction, build_mesh, to_lattice
 from .smoothness import SmoothnessDistribution, constant_distribution
 
 
 def format_rational(value):
-    value = Fraction(value)
+    value = as_fraction(value)
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
@@ -235,22 +234,25 @@ def format_tsub(history):
 def apply_history(history, smoothness=None, degree=None, rule=None):
     """Execute a parsed history; returns (mesh, elementary history).
 
+    Plain splits are only recorded; ``SubdivisionHistory.replay`` applies
+    them when a ``wsplit`` needs a mesh to weigh, and once at the end.
     ``wsplit`` events run the weighted rule and need ``smoothness`` and
     ``degree``.  When ``rule`` is given, plain splits are run through the
     weighted rule with that (k, k') as well.
     """
-    mesh = build_mesh([history.initial])
     expanded = SubdivisionHistory(history.initial)
+    mesh = None  # the mesh of expanded; None while plain splits wait for a replay
     for ev in history.events:
         use_rule = rule if ev.rule is None else ev.rule
-        if use_rule is not None:
-            if smoothness is None or degree is None:
-                raise ValueError("weighted splits need a smoothness and a degree")
-            outcome = weighted_split(
-                mesh, expanded, ev.cell, ev.direction, ev.coord,
-                smoothness, degree, use_rule[0], use_rule[1],
-            )
-        else:
-            outcome = split_cell(mesh, expanded, ev.cell, ev.direction, ev.coord)
-        mesh = outcome.mesh
-    return mesh, expanded
+        if use_rule is None:
+            expanded.events.append(SplitEvent(ev.cell, ev.direction, as_fraction(ev.coord)))
+            mesh = None
+            continue
+        if mesh is None:
+            mesh = expanded.replay()
+        if smoothness is None or degree is None:
+            raise ValueError("weighted splits need a smoothness and a degree")
+        mesh = weighted_split(
+            mesh, expanded, ev.cell, ev.direction, ev.coord, smoothness, degree, *use_rule
+        ).mesh
+    return mesh if mesh is not None else expanded.replay(), expanded

@@ -122,16 +122,13 @@ class Ordering:
     source: str = "topological"
 
 
-def default_ordering(analysis, history=None):
-    """Appearance order when a history is supplied, else blocking-topological.
+def default_ordering(analysis):
+    """Blocking-topological order of the interior segments.
 
     Cyclic blocking falls back to the canonical segment order, with source
-    "canonical".
+    "canonical".  The appearance order of a split history is
+    ``hierarchy.appearance_ordering``.
     """
-    if history is not None:
-        from .hierarchy import appearance_ordering
-
-        return appearance_ordering(history, analysis)
     mis = list(analysis.mis)
     succ = {}
     indeg = {sid: 0 for sid in mis}

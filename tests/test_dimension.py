@@ -18,6 +18,8 @@ from meshgen import (
     grid3x3_history,
     grid_history,
     grid_mesh,
+    pinwheel_mesh,
+    random_history,
     random_mesh,
     subdivide_cell_3x3,
     subdivide_center_3x3,
@@ -30,8 +32,9 @@ def test_apolar_dim_examples():
     assert t.apolar_dim(5, [(0, 3), (1, 3), (2, 3)]) == 6
     assert t.apolar_dim(4, [(0, 4), (1, 4), (2, 4)]) == 3
     assert t.apolar_dim(3, []) == 0
-    assert t.shifted_power_codim(2, [(0, 1)]) == 1
-    assert t.shifted_power_codim(3, [(0, 2), (1, 2)]) == 0
+    # The codimension n + 1 - apolar_dim in degree <= n.
+    assert 2 + 1 - t.apolar_dim(2, [(0, 1)]) == 1
+    assert 3 + 1 - t.apolar_dim(3, [(0, 2), (1, 2)]) == 0
 
 
 def test_apolar_dim_validation():
@@ -39,6 +42,41 @@ def test_apolar_dim_validation():
         t.apolar_dim(4, [(1, 2), (1, 3)])
     with pytest.raises(DegreeOutOfRange):
         t.apolar_dim(2, [(0, 3)])
+
+
+def test_defect_shares_are_apolar_codimensions():
+    # A horizontal segment's share of the bound is the codimension of its
+    # counted vertices' shifted powers (u - x_v)^(r_v + 1) in degree <= m,
+    # times (n - r)_+; a vertex on a line of order >= m pins nothing.  The
+    # mirror holds for a vertical segment.
+    rng = random.Random(11)
+    shares = 0
+    for index in range(150):
+        if index % 10 == 0:
+            mesh, orderings = pinwheel_mesh(), []
+        else:
+            history, rects = random_history(rng, rng.randrange(1, 30))
+            mesh = t.build_mesh(rects)
+            orderings = [t.appearance_ordering(history, t.analyze_segments(mesh))]
+        analysis = t.analyze_segments(mesh)
+        orderings.append(t.default_ordering(analysis))
+        degree = m, n = rng.randint(1, 3), rng.randint(1, 3)
+        r_h = {x: rng.randint(0, m + 1) for x in mesh.nodes_x}
+        r_v = {y: rng.randint(0, n + 1) for y in mesh.nodes_y}
+        dist = t.SmoothnessDistribution(mesh, r_h, r_v)
+        for ordering in orderings:
+            for part in t.h_upper_bound(analysis, dist, degree, ordering).per_segment:
+                seg = analysis.segments[part.segment]
+                counted = [mesh.vertices[v] for v in t.segment_weight(analysis, dist, degree, ordering, seg.id).vertices]
+                if seg.horizontal:
+                    points = [(v.x, r_h[v.x] + 1) for v in counted if r_h[v.x] < m]
+                    expected = (m + 1 - t.apolar_dim(m, points)) * max(0, n - r_v[seg.coord])
+                else:
+                    points = [(v.y, r_v[v.y] + 1) for v in counted if r_v[v.y] < n]
+                    expected = (n + 1 - t.apolar_dim(n, points)) * max(0, m - r_h[seg.coord])
+                assert part.contribution == expected
+                shares += 1
+    assert shares > 1000
 
 
 def test_combinatorial_terms():

@@ -8,8 +8,10 @@ import tsplinedim as t
 from tsplinedim import formats
 from tsplinedim.errors import (
     BadRational,
+    CoordinateOnCellBoundary,
     MeshError,
     TmeshSyntaxError,
+    UnknownCell,
     UnknownDirective,
     UnknownNode,
 )
@@ -70,6 +72,16 @@ def test_roundtrip():
         EX51_CELLS, default_smooth=(1, 1), smooth_h={F(1): 0}, smooth_v={F(1, 2): 2}
     )
     assert parse_tmesh(format_tmesh(with_nodes)) == with_nodes
+
+
+def test_format_rational_refuses_floats():
+    assert formats.format_rational(F(3, 4)) == "3/4"
+    assert formats.format_rational(2) == "2"
+    with pytest.raises(TypeError):
+        formats.format_rational(0.1)
+    # A document constructed without make holds its cells as given.
+    with pytest.raises(TypeError):
+        format_tmesh(MeshDocument(((0, 0, 0.5, 1),)))
 
 
 def test_make_refuses_floats():
@@ -298,3 +310,56 @@ def test_tsub_errors():
         parse_tsub("tsub 1\ninit 0 0 1 1\ninit 0 0 2 2\n")
     with pytest.raises(UnknownDirective):
         parse_tsub("tsub 1\ninit 0 0 1 1\nmerge 0 1\n")
+
+
+_SPACE = ((1, 1), (2, 2))
+
+
+@pytest.mark.parametrize("lines, context, error, message", [
+    (["split 0 v 1", "split 5 h 1"], (), UnknownCell, "no cell with id 5"),
+    (["split 0 v 1", "split 1 v 2"], (), CoordinateOnCellBoundary, "x=2 not inside cell 1 [1, 0, 2, 2]"),
+    (["split 0 v 1", "split 7 h 1", "wsplit 0 h 1 3 3"], (), UnknownCell, "no cell with id 7"),
+    (["split 0 v 1", "wsplit 0 h 1 3 3", "split 9 h 1"], (), ValueError,
+     "weighted splits need a smoothness and a degree"),
+    (["split 0 v 1", "wsplit 4 h 1 3 3"], _SPACE, UnknownCell, "no cell with id 4"),
+])
+def test_apply_history_raises_at_the_first_bad_event(lines, context, error, message):
+    """Plain splits are replayed only when a mesh is needed, yet the first bad
+    event still raises first: a bad split before a wsplit gives the split's
+    error, a wsplit without smoothness before a bad split gives ValueError."""
+    history = parse_tsub("tsub 1\ninit 0 0 2 2\n" + "\n".join(lines) + "\n")
+    with pytest.raises(error) as info:
+        apply_history(history, *context)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rule", [None, (3, 3)])
+def test_apply_history_rejects_a_degenerate_init(rule):
+    initial = (F(1), F(0), F(0), F(1))
+    history = t.SubdivisionHistory(initial, [t.SplitEvent(0, "v", F(1, 2), rule)])
+    with pytest.raises(ValueError) as info:
+        apply_history(history)
+    assert str(info.value) == f"degenerate rectangle {initial!r}"
+
+
+def test_mixed_history_matches_stepwise_splits():
+    # Each line applied to the mesh of the lines before it: split_cell for a
+    # plain line, weighted_split for a wsplit line.
+    history = parse_tsub(
+        "tsub 1\ninit 0 0 3 3\n"
+        "split 0 v 1\nsplit 1 v 2\n"
+        "split 0 h 1\nsplit 1 h 1\nsplit 2 h 1\n"
+        "split 3 h 2\nsplit 4 h 2\nsplit 5 h 2\n"
+        "wsplit 4 v 3/2 3 3\nsplit 0 v 1/2\nwsplit 1 h 1/2 3 3\nsplit 0 h 1/2\n"
+    )
+    mesh, expanded = apply_history(history, *_SPACE)
+    reference, stepped = t.initial_mesh(*history.initial)
+    for ev in history.events:
+        if ev.rule is None:
+            outcome = t.split_cell(reference, stepped, ev.cell, ev.direction, ev.coord)
+        else:
+            outcome = t.weighted_split(reference, stepped, ev.cell, ev.direction, ev.coord, *_SPACE, *ev.rule)
+        reference = outcome.mesh
+    assert len(stepped.events) == 14  # each wsplit line gained one extension hop
+    assert expanded.events == stepped.events
+    assert mesh.cell_rects() == reference.cell_rects()

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 import tsplinedim as t
-from tsplinedim import hierarchy
+from tsplinedim import formats, hierarchy
 from tsplinedim.errors import CoordinateOnCellBoundary, HistoryMismatch, UnknownCell
 
 from meshgen import (
@@ -221,9 +221,11 @@ def test_weighted_split_boundary_split_on_mismatched_history_raises():
 def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
     """A history replays on its cell list: whatever its length, only the
     meshes that are returned or weighed are built."""
-    real = hierarchy.build_mesh
-    built = []
-    monkeypatch.setattr(hierarchy, "build_mesh", lambda rects: built.append(rects) or real(rects))
+    real_build, real_analyze = hierarchy.build_mesh, hierarchy.analyze_segments
+    built, analysed = [], []
+    for module in (hierarchy, formats):
+        monkeypatch.setattr(module, "build_mesh", lambda rects: built.append(rects) or real_build(rects))
+    monkeypatch.setattr(hierarchy, "analyze_segments", lambda mesh: analysed.append(mesh) or real_analyze(mesh))
 
     def builds(call):
         built.clear()
@@ -239,6 +241,9 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
         assert builds(lambda: t.appearance_ordering(history, analysis)) == 0
         assert builds(lambda: t.new_isolated_segment_count(history)) == 0
         assert builds(history.replay) == 1
+        analysed.clear()
+        assert builds(lambda: t.apply_history(history)) == 1
+        assert analysed == []
         cell = mesh.cells[-1]
         assert builds(lambda: t.split_cell(mesh, None, cell.id, "h", (cell.y0 + cell.y1) / 2)) == 1
         for cell in mesh.cells[:8]:

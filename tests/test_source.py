@@ -62,3 +62,19 @@ def test_cli_ranks_no_matrix_itself():
             continue
         found += [f"cli.py:{node.lineno} {name}" for name in modules if "linalg" in name.split(".")]
     assert found == []
+
+
+def test_segments_imports_only_errors_and_mesh():
+    # segments sits below hierarchy and dimension: the appearance order of a
+    # history is theirs to ask for, so segments never imports them back.
+    path = PACKAGE / "segments.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("tsplinedim")):
+            module = "." * node.level + (node.module or "")
+            if module not in (".errors", ".mesh"):
+                found.append(f"segments.py:{node.lineno} {module}")
+        elif isinstance(node, ast.Import):
+            found += [f"segments.py:{node.lineno} {a.name}" for a in node.names if a.name.startswith("tsplinedim")]
+    assert found == []
