@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeOutOfRange, DuplicatePoints
 from .hierarchy import appearance_ordering
+from .mesh import HORIZONTAL, VERTICAL
 from .segments import (
     Ordering,
     _transversal_weight,
@@ -14,7 +15,7 @@ from .segments import (
     default_ordering,
     segment_weight,
 )
-from .smoothness import quotient_dims
+from .smoothness import _factor
 
 SEARCH_LIMIT = 14  # exact ordering minimization up to this many interior segments
 
@@ -48,14 +49,25 @@ def apolar_dim(n, points):
 
 def combinatorial_term(mesh, dist, degree):
     """Alternating sum of quotient dimensions over cells, interior edges and
-    interior vertices; the topology-only part of the spline space dimension."""
-    total = 0
-    for cell in mesh.cells:
-        total += quotient_dims(dist, degree, cell)
+    interior vertices; the topology-only part of the spline space dimension.
+
+    Each term is ``quotient_dims`` of its face.  It depends only on the node
+    lines through the face, so each line's truncated factor is read once and
+    the faces are summed through the mesh's line indices.
+    """
+    m, n = degree
+    across_x = [_factor(dist.order(VERTICAL, x), m) for x in mesh.nodes_x]
+    across_y = [_factor(dist.order(HORIZONTAL, y), n) for y in mesh.nodes_y]
+    total = len(mesh.cells) * (m + 1) * (n + 1)
+    edges, edge_line = mesh.edges, mesh.edge_line
     for eid in mesh.interior_edges:
-        total -= quotient_dims(dist, degree, mesh.edges[eid])
+        if edges[eid].horizontal:
+            total -= (m + 1) * across_y[edge_line[eid]]
+        else:
+            total -= across_x[edge_line[eid]] * (n + 1)
+    xline, yline = mesh.vertex_xline, mesh.vertex_yline
     for vid in mesh.interior_vertices:
-        total += quotient_dims(dist, degree, mesh.vertices[vid])
+        total += across_x[xline[vid]] * across_y[yline[vid]]
     return total
 
 

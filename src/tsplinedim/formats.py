@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import BadRational, TmeshSyntaxError, UnknownDirective, UnknownNode
 from .hierarchy import SplitEvent, SubdivisionHistory, weighted_split
-from .mesh import as_fraction, build_mesh, to_lattice
+from .mesh import _mesh, as_fraction, build_mesh, to_lattice
 from .smoothness import SmoothnessDistribution, constant_distribution
 
 
@@ -65,6 +65,11 @@ class MeshDocument:
     smooth_h: tuple = ()
     smooth_v: tuple = ()
 
+    # Not a field: ``make`` sets it to the cells on their integer lattice
+    # (``to_lattice``), which it sorts on, so that ``document_mesh`` scales
+    # them no second time.  A document built or replaced otherwise has none.
+    _grid = None
+
     @staticmethod
     def make(cells, default_smooth=None, smooth_h=(), smooth_v=()):
         """Canonical document: cells and node orders sorted, coordinates exact.
@@ -75,12 +80,16 @@ class MeshDocument:
         order of their ``Fraction`` tuples.
         """
         cells = [tuple(map(as_fraction, rect)) for rect in cells]
-        cells = tuple(cell for _, cell in sorted(zip(to_lattice(cells), cells), key=operator.itemgetter(0)))
+        keyed = sorted(zip(to_lattice(cells), cells), key=operator.itemgetter(0))
+        grid = tuple(ints for ints, _ in keyed)
+        cells = tuple(cell for _, cell in keyed)
         if default_smooth is not None:
             default_smooth = tuple(map(operator.index, default_smooth))
         smooth_h = tuple(sorted((as_fraction(k), operator.index(v)) for k, v in dict(smooth_h).items()))
         smooth_v = tuple(sorted((as_fraction(k), operator.index(v)) for k, v in dict(smooth_v).items()))
-        return MeshDocument(cells, default_smooth, smooth_h, smooth_v)
+        doc = MeshDocument(cells, default_smooth, smooth_h, smooth_v)
+        object.__setattr__(doc, "_grid", grid)
+        return doc
 
 
 def parse_tmesh(text):
@@ -144,7 +153,11 @@ def format_tmesh(doc):
 
 
 def document_mesh(doc):
-    return build_mesh(doc.cells)
+    """The mesh of the document's cells: ``build_mesh``, on the lattice
+    ``MeshDocument.make`` already computed when there is one."""
+    if doc._grid is None:
+        return build_mesh(doc.cells)
+    return _mesh(doc.cells, doc._grid)
 
 
 def document_smoothness(doc, mesh, override=None):
@@ -162,12 +175,13 @@ def document_smoothness(doc, mesh, override=None):
         r, rp = doc.default_smooth
         r_h = {x: r for x in mesh.nodes_x}
         r_v = {y: rp for y in mesh.nodes_y}
+    nodes_x, nodes_y = set(mesh.nodes_x), set(mesh.nodes_y)
     for node, order in doc.smooth_h:
-        if node not in mesh.nodes_x:
+        if node not in nodes_x:
             raise UnknownNode(f"smooth h {format_rational(node)}: not a node of the mesh")
         r_h[node] = order
     for node, order in doc.smooth_v:
-        if node not in mesh.nodes_y:
+        if node not in nodes_y:
             raise UnknownNode(f"smooth v {format_rational(node)}: not a node of the mesh")
         r_v[node] = order
     return SmoothnessDistribution(mesh, r_h, r_v)

@@ -116,7 +116,7 @@ class _Replay:
     """
 
     def __init__(self, history):
-        self.rects = _normalize_rects([history.initial])
+        self.rects, _ = _normalize_rects([history.initial])
         self.lines = {}
         for event in history.events:
             self.split(event)

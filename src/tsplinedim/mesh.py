@@ -147,14 +147,25 @@ class TMesh:
     The vertices are exactly the cell corners.  Canonical ids: vertices
     sorted by (y, x), cells by (y0, x0), edges by their (start, end) vertex
     ids, so identical input cell lists give identical meshes.
+
+    Beside the ``Fraction`` records, flat int tuples index the node lines:
+    ``edge_line[eid]`` is the position of an edge's supporting line in
+    ``nodes_y`` (horizontal edge) or ``nodes_x`` (vertical edge), and
+    ``vertex_xline[vid]``/``vertex_yline[vid]`` are the positions of a
+    vertex's x in ``nodes_x`` and its y in ``nodes_y``.  Per-face work that
+    depends only on the lines reads these ints instead of hashing or
+    comparing coordinates.
     """
 
-    def __init__(self, cells, edges, vertices, nodes_x, nodes_y):
+    def __init__(self, cells, edges, vertices, nodes_x, nodes_y, edge_line, vertex_xline, vertex_yline):
         self.cells: tuple[Cell, ...] = cells
         self.edges: tuple[Edge, ...] = edges
         self.vertices: tuple[Vertex, ...] = vertices
         self.nodes_x: tuple[Fraction, ...] = nodes_x
         self.nodes_y: tuple[Fraction, ...] = nodes_y
+        self.edge_line: tuple[int, ...] = edge_line
+        self.vertex_xline: tuple[int, ...] = vertex_xline
+        self.vertex_yline: tuple[int, ...] = vertex_yline
         self.interior_edges = tuple(e.id for e in edges if e.interior)
         self.interior_vertices = tuple(v.id for v in vertices if v.interior)
 
@@ -185,15 +196,35 @@ class TMesh:
 
 
 def _normalize_rects(rectangles):
-    rects = []
-    for rect in rectangles:
-        x0, y0, x1, y1 = (as_fraction(v) for v in rect)
-        if x0 >= x1 or y0 >= y1:
-            raise ValueError(f"degenerate rectangle {rect!r}")
-        rects.append((x0, y0, x1, y1))
+    """The cells as ``Fraction`` 4-tuples and their lattice ints.
+
+    Each coordinate is coerced once and the input is iterated once, so a
+    one-shot iterable works.  The degeneracy check runs on the lattice; when
+    a coordinate fails to coerce, a degenerate cell before it is reported
+    first, as when each cell was checked as it was read.
+    """
+    raw, rects = [], []
+    try:
+        for rect in rectangles:
+            x0, y0, x1, y1 = (as_fraction(v) for v in rect)
+            raw.append(rect)
+            rects.append((x0, y0, x1, y1))
+    except (TypeError, ValueError):
+        _check_cells(raw, rects)
+        raise
     if not rects:
         raise ValueError("cell list is empty")
-    return rects
+    grid = to_lattice(rects)
+    _check_cells(raw, grid)
+    return rects, grid
+
+
+def _check_cells(rects, grid):
+    """Raise for the first rect of zero width or height; ``grid`` holds the
+    same rects on any monotone scale, such as the lattice."""
+    for rect, (x0, y0, x1, y1) in zip(rects, grid):
+        if x0 >= x1 or y0 >= y1:
+            raise ValueError(f"degenerate rectangle {rect!r}")
 
 
 def to_lattice(rects):
@@ -249,14 +280,22 @@ def _sweep_finds_overlap(rects):
 
 def build_mesh(rectangles):
     """Build a validated TMesh from rational rectangles with disjoint interiors."""
-    rects = _normalize_rects(rectangles)
+    return _mesh(*_normalize_rects(rectangles))
+
+
+def _mesh(rects, grid):
+    """The TMesh of the ``Fraction`` rects, given on the integer lattice as
+    ``grid`` (see ``to_lattice``), in the same order."""
+    if not rects:
+        raise ValueError("cell list is empty")
+    _check_cells(rects, grid)
 
     # Sorting, keying and comparing on the integer lattice gives the
     # canonical order and ids; `exact` maps each lattice value back to its
     # one Fraction.
     exact = {}
     keyed = []
-    for rect, ints in zip(rects, to_lattice(rects)):
+    for rect, ints in zip(rects, grid):
         x0, y0, x1, y1 = ints
         exact.update(zip(ints, rect))
         keyed.append(((y0, x0, y1, x1), rect))
@@ -280,6 +319,10 @@ def build_mesh(rectangles):
     for y, x in points:
         xs_at_y.setdefault(y, []).append(x)
         ys_at_x.setdefault(x, []).append(y)
+    # Node-line indices: nodes_y is the y order of xs_at_y, nodes_x the
+    # sorted x keys of ys_at_x.  Every corner lies on one line of each.
+    y_line = {y: i for i, y in enumerate(xs_at_y)}
+    x_line = {x: i for i, x in enumerate(sorted(ys_at_x))}
 
     # Fragment each cell side at every corner point on it; key fragments by
     # (direction, line coordinate, span) and collect the owner cell ids.
@@ -307,15 +350,15 @@ def build_mesh(rectangles):
         if len(owners) > 2:
             raise OverlappingCells(f"edge fragment {fragment} claimed by {len(owners)} cells")
         if direction == HORIZONTAL:
-            start, end = vid_at[(coord, lo)], vid_at[(coord, hi)]
+            start, end, line = vid_at[(coord, lo)], vid_at[(coord, hi)], y_line[coord]
         else:
-            start, end = vid_at[(lo, coord)], vid_at[(hi, coord)]
-        spans.append((start, end, fragment, tuple(sorted(owners))))
+            start, end, line = vid_at[(lo, coord)], vid_at[(hi, coord)], x_line[coord]
+        spans.append((start, end, fragment, tuple(sorted(owners)), line))
     spans.sort(key=lambda s: (s[0], s[1]))
     edges = []
     h_edges_of: list[list[int]] = [[] for _ in points]
     v_edges_of: list[list[int]] = [[] for _ in points]
-    for eid, (start, end, (direction, coord, lo, hi), owners) in enumerate(spans):
+    for eid, (start, end, (direction, coord, lo, hi), owners, _) in enumerate(spans):
         edges.append(Edge(eid, start, end, direction, len(owners) == 2, owners, coord, lo, hi))
         incident = h_edges_of if direction == HORIZONTAL else v_edges_of
         incident[start].append(eid)
@@ -379,8 +422,16 @@ def build_mesh(rectangles):
     _walk_boundary(edges)
 
     # Every corner has a vertical and a horizontal cell side through it.
-    nodes_x = tuple(exact[x] for x in sorted(ys_at_x))
-    return TMesh(cells, edges, vertices, nodes_x, tuple(exact[y] for y in xs_at_y))
+    return TMesh(
+        cells,
+        edges,
+        vertices,
+        tuple(exact[x] for x in x_line),
+        tuple(exact[y] for y in y_line),
+        tuple(s[4] for s in spans),
+        tuple(x_line[x] for _, x in points),
+        tuple(y_line[y] for y, _ in points),
+    )
 
 
 def _walk_boundary(edges):

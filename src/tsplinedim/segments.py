@@ -51,37 +51,44 @@ class SegmentAnalysis:
 
 
 def analyze_segments(mesh):
-    """Group interior edges into maximal segments (one segment per connected run)."""
-    by_line: dict[tuple[str, Fraction], list] = {}
+    """Group interior edges into maximal segments (one segment per connected run).
+
+    Edges are grouped by their node line (``mesh.edge_line``).  Edge ids run
+    in (start, end) vertex order, which on one line is the order along it,
+    so a line's edges arrive sorted and two of them join when one starts at
+    the vertex where the other ends.
+    """
+    by_line: dict[tuple[str, int], list] = {}
     for eid in mesh.interior_edges:
         e = mesh.edges[eid]
-        by_line.setdefault((e.direction, e.coord), []).append(e)
+        by_line.setdefault((e.direction, mesh.edge_line[eid]), []).append(e)
 
     raw = []
-    for (direction, coord), line_edges in by_line.items():
-        line_edges.sort(key=lambda e: e.lo)
+    for (direction, line), line_edges in by_line.items():
         run = [line_edges[0]]
         for e in line_edges[1:]:
-            if e.lo == run[-1].hi:
+            if e.start == run[-1].end:
                 run.append(e)
             else:
-                raw.append((direction, coord, run))
+                raw.append((direction, line, run))
                 run = [e]
-        raw.append((direction, coord, run))
+        raw.append((direction, line, run))
 
-    raw.sort(key=lambda item: (item[0], item[1], item[2][0].lo))
+    # Line indices and start vertex ids order the segments as their
+    # coordinates and low ends do.
+    raw.sort(key=lambda item: (item[0], item[1], item[2][0].start))
     segments = []
-    for sid, (direction, coord, run) in enumerate(raw):
+    for sid, (direction, _, run) in enumerate(raw):
         verts = [run[0].start] + [e.end for e in run]
         vobjs = [mesh.vertices[v] for v in verts]
         interior = vobjs[0].interior and vobjs[-1].interior
         if not all(v.interior for v in vobjs[1:-1]):
-            raise DanglingGeometry(f"{direction} segment at {coord} pinched on the boundary")
+            raise DanglingGeometry(f"{direction} segment at {run[0].coord} pinched on the boundary")
         segments.append(
             MaxSegment(
                 id=sid,
                 direction=direction,
-                coord=coord,
+                coord=run[0].coord,
                 lo=run[0].lo,
                 hi=run[-1].hi,
                 edges=tuple(e.id for e in run),

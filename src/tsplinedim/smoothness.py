@@ -80,12 +80,19 @@ def constant_distribution(mesh, r, rp):
     )
 
 
+def _factor(order, bound):
+    """Dimension of degree-``bound`` univariate polynomials modulo the
+    shifted power of ``order``: ``min(order, bound) + 1``, so an order at or
+    above the degree saturates."""
+    return min(order, bound) + 1
+
+
 def quotient_dims(dist, degree, face):
     """Dimension of the degree-(m, n) polynomial space modulo the face constraint.
 
     Cells carry no constraint; edges quotient by one shifted power, vertices
-    by two.  Every factor is min-truncated so orders above the degree are
-    handled exactly.
+    by two.  Every factor is min-truncated (``_factor``) so orders above the
+    degree are handled exactly.
     """
     m, n = degree
     if isinstance(face, Cell):
@@ -93,10 +100,8 @@ def quotient_dims(dist, degree, face):
     if isinstance(face, Edge):
         r = dist.order(face.direction, face.coord)
         if face.horizontal:
-            return (m + 1) * (min(r, n) + 1)
-        return (min(r, m) + 1) * (n + 1)
+            return (m + 1) * _factor(r, n)
+        return _factor(r, m) * (n + 1)
     if isinstance(face, Vertex):
-        rh = dist.order(VERTICAL, face.x)
-        rv = dist.order(HORIZONTAL, face.y)
-        return (min(rh, m) + 1) * (min(rv, n) + 1)
+        return _factor(dist.order(VERTICAL, face.x), m) * _factor(dist.order(HORIZONTAL, face.y), n)
     raise TypeError(f"not a mesh face: {face!r}")
