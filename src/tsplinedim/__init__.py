@@ -25,6 +25,7 @@ from .errors import (
     BadRational,
     CoordinateOnCellBoundary,
     DanglingGeometry,
+    DegenerateCell,
     DegreeOutOfRange,
     DisconnectedDomain,
     DomainNotSimplyConnected,

@@ -5,6 +5,13 @@ class MeshError(Exception):
     """Base class for all domain-specific errors."""
 
 
+class DegenerateCell(MeshError, ValueError):
+    """A cell has zero width or height, or the cell list is empty.
+
+    Also a ValueError, which is what this was raised as before it had a type.
+    """
+
+
 class OverlappingCells(MeshError):
     """Two input rectangles have intersecting interiors."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CoordinateOnCellBoundary, HistoryMismatch, UnknownCell
-from .mesh import HORIZONTAL, VERTICAL, _normalize_rects, as_fraction, build_mesh
+from .mesh import HORIZONTAL, VERTICAL, _check_cells, _normalize_rects, as_fraction, build_mesh
 from .segments import Ordering, analyze_segments, segment_weight
 from .smoothness import constant_distribution
 
@@ -116,7 +116,8 @@ class _Replay:
     """
 
     def __init__(self, history):
-        self.rects, _ = _normalize_rects([history.initial])
+        self.rects, grid = _normalize_rects([history.initial])
+        _check_cells(self.rects, grid)
         self.lines = {}
         for event in history.events:
             self.split(event)

@@ -22,6 +22,7 @@ from operator import itemgetter
 
 from .errors import (
     DanglingGeometry,
+    DegenerateCell,
     DisconnectedDomain,
     DomainNotSimplyConnected,
     OverlappingCells,
@@ -199,24 +200,20 @@ def _normalize_rects(rectangles):
     """The cells as ``Fraction`` 4-tuples and their lattice ints.
 
     Each coordinate is coerced once and the input is iterated once, so a
-    one-shot iterable works.  The degeneracy check runs on the lattice; when
-    a coordinate fails to coerce, a degenerate cell before it is reported
-    first, as when each cell was checked as it was read.
+    one-shot iterable works.  The degeneracy check runs later, on the
+    lattice (``_check_cells``); when a coordinate fails to coerce, a
+    degenerate cell before it is reported first, as when each cell was
+    checked as it was read.
     """
-    raw, rects = [], []
+    rects = []
     try:
         for rect in rectangles:
             x0, y0, x1, y1 = (as_fraction(v) for v in rect)
-            raw.append(rect)
             rects.append((x0, y0, x1, y1))
     except (TypeError, ValueError):
-        _check_cells(raw, rects)
+        _check_cells(rects, rects)
         raise
-    if not rects:
-        raise ValueError("cell list is empty")
-    grid = to_lattice(rects)
-    _check_cells(raw, grid)
-    return rects, grid
+    return rects, to_lattice(rects)
 
 
 def _check_cells(rects, grid):
@@ -224,7 +221,7 @@ def _check_cells(rects, grid):
     same rects on any monotone scale, such as the lattice."""
     for rect, (x0, y0, x1, y1) in zip(rects, grid):
         if x0 >= x1 or y0 >= y1:
-            raise ValueError(f"degenerate rectangle {rect!r}")
+            raise DegenerateCell(f"degenerate rectangle {_format_rect(rect)}")
 
 
 def to_lattice(rects):
@@ -287,7 +284,7 @@ def _mesh(rects, grid):
     """The TMesh of the ``Fraction`` rects, given on the integer lattice as
     ``grid`` (see ``to_lattice``), in the same order."""
     if not rects:
-        raise ValueError("cell list is empty")
+        raise DegenerateCell("cell list is empty")
     _check_cells(rects, grid)
 
     # Sorting, keying and comparing on the integer lattice gives the

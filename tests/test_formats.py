@@ -337,9 +337,9 @@ def test_apply_history_raises_at_the_first_bad_event(lines, context, error, mess
 def test_apply_history_rejects_a_degenerate_init(rule):
     initial = (F(1), F(0), F(0), F(1))
     history = t.SubdivisionHistory(initial, [t.SplitEvent(0, "v", F(1, 2), rule)])
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(t.DegenerateCell) as info:
         apply_history(history)
-    assert str(info.value) == f"degenerate rectangle {initial!r}"
+    assert isinstance(info.value, ValueError) and str(info.value) == "degenerate rectangle [1, 0, 0, 1]"
 
 
 def test_mixed_history_matches_stepwise_splits():

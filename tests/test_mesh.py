@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import tsplinedim as t
 from tsplinedim.mesh import _check_overlaps, _sweep_finds_overlap
 from tsplinedim.errors import (
+    DegenerateCell,
     DisconnectedDomain,
     DomainNotSimplyConnected,
     OverlappingCells,
@@ -82,10 +83,18 @@ def test_hole_rejected():
 
 
 def test_degenerate_rectangle_rejected():
-    with pytest.raises(ValueError):
-        t.build_mesh([(0, 0, 0, 1)])
-    with pytest.raises(ValueError):
-        t.build_mesh([])
+    # A MeshError that stays a ValueError, named with the rect as written
+    # in files, not with Fraction reprs.
+    for cells, message in (
+        ([(0, 0, 0, 1)], "degenerate rectangle [0, 0, 0, 1]"),
+        ([(0, 0, 1, 1), (F(1, 2), 1, 1, F(1, 2))], "degenerate rectangle [1/2, 1, 1, 1/2]"),
+        ([], "cell list is empty"),
+    ):
+        with pytest.raises(DegenerateCell) as caught:
+            t.build_mesh(cells)
+        assert isinstance(caught.value, (t.MeshError, ValueError)) and str(caught.value) == message
+    with pytest.raises(DegenerateCell, match=r"^degenerate rectangle \[0, 0, 0, 1\]$"):
+        t.SubdivisionHistory((F(0), F(0), F(0), F(1))).replay()
 
 
 def test_float_coordinates_rejected():
@@ -254,13 +263,13 @@ def test_records_pinned():
         corrupted.append(cells[:i] + [(x0, y0, x0, y1)] + cells[i + 1:])  # degenerate
     texts = [_outcome_text(cells) for cells in corrupted]
     assert {text.split(":")[0] for text in texts if not text.startswith("cell ")} == {
-        "ValueError",
+        "DegenerateCell",
         "OverlappingCells",
         "DisconnectedDomain",
         "DomainNotSimplyConnected",
         "DanglingGeometry",
     }
-    assert _digest(texts) == "12000f30c5f65bdc20fb987271330281f410cb89fd6aa230f59182fde6434b19"
+    assert _digest(texts) == "62f70fbc3aebdabe40f77590424616adb5dae9c2666e01d5c2e21acdcd8fa24e"
 
 
 # Split points with mixed and coprime denominators.
