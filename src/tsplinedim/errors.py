@@ -8,7 +8,7 @@ class MeshError(Exception):
 class DegenerateCell(MeshError, ValueError):
     """A cell has zero width or height, or the cell list is empty.
 
-    Also a ValueError, which is what this was raised as before it had a type.
+    Also a ValueError, like the other refusals of a bad coordinate.
     """
 
 

@@ -4,10 +4,17 @@ A T-mesh is entered as a bare list of axis-aligned rational rectangles.
 The vertices are the cell corners; the edges are the cell sides cut at every
 corner that lands on them, with the fragments shared by adjacent cells
 merged.  Every coordinate in every record is an exact ``Fraction``, so
-incidence tests never depend on tolerances.  Inside, ``build_mesh`` scales
-the cells once onto one integer lattice, the lcm of all coordinate
-denominators, and sorts, keys and compares plain ints; the overlap check is
-a sort-and-sweep over y.
+incidence tests never depend on tolerances.  Inside, ``build_mesh`` coerces
+each coordinate once and scales the cells once onto one integer lattice, the
+lcm of all coordinate denominators, and checks, sorts, keys and compares
+plain ints; the overlap check is a sort-and-sweep over y.  A parsed document
+hands over the lattice it was sorted on, so its cells are not scaled twice.
+
+Beside the ``Fraction`` records, a ``TMesh`` indexes its node lines with flat
+int tuples: the line of each edge and the x- and y-line of each vertex, as
+positions in ``nodes_x``/``nodes_y``.  Work that depends only on the lines
+through a face, such as the combinatorial term or grouping collinear edges
+into maximal segments, runs on those ints.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Canonical meshes and random generators shared by the test modules."""
 
+import random
 from fractions import Fraction as F
+
+from hypothesis import strategies as st
 
 import tsplinedim as t
 from tsplinedim.hierarchy import SplitEvent
@@ -165,3 +168,27 @@ def univariate_spline_dim(m, orders):
     """Dimension of degree <= m univariate splines with the given interior
     continuity orders (min-truncated multiplicities)."""
     return m + 1 + sum(m - min(r, m) for r in orders)
+
+
+@st.composite
+def spaces(draw):
+    """(mesh, distribution, degree): a random history, the pinwheel or a
+    grid, maybe transposed or reflected, a degree in 1..3 each way and
+    per-line orders 0..degree + 1."""
+    rng = random.Random(draw(st.integers(min_value=0)))
+    kind = draw(st.sampled_from(("history", "pinwheel", "grid")))
+    if kind == "history":
+        cells = random_history(rng, rng.randrange(40), rng.choice((1, 4)), rng.choice((1, 3)))[1]
+    elif kind == "pinwheel":
+        cells = PINWHEEL_CELLS
+    else:
+        cells = grid_cells(rng.randint(1, 7), rng.randint(1, 7))
+    if draw(st.booleans()):  # transpose: (x, y) -> (y, x)
+        cells = [(y0, x0, y1, x1) for x0, y0, x1, y1 in cells]
+    if draw(st.booleans()):  # reflect: x -> -x
+        cells = [(-x1, y0, -x0, y1) for x0, y0, x1, y1 in cells]
+    mesh = t.build_mesh(cells)
+    degree = m, n = rng.randint(1, 3), rng.randint(1, 3)
+    r_h = {x: rng.randint(0, m + 1) for x in mesh.nodes_x}
+    r_v = {y: rng.randint(0, n + 1) for y in mesh.nodes_y}
+    return mesh, t.SmoothnessDistribution(mesh, r_h, r_v), degree

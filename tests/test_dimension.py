@@ -21,6 +21,7 @@ from meshgen import (
     pinwheel_mesh,
     random_history,
     random_mesh,
+    spaces,
     subdivide_cell_3x3,
     subdivide_center_3x3,
 )
@@ -91,6 +92,46 @@ def test_combinatorial_terms():
 
     grid = grid_mesh(3, 3)
     assert t.combinatorial_term(grid, t.constant_distribution(grid, 1, 1), deg) == 25
+
+
+def _combinatorial_term_by_faces(mesh, dist, degree):
+    """Reference route: quotient_dims of every face, one face at a time."""
+    return (
+        sum(t.quotient_dims(dist, degree, cell) for cell in mesh.cells)
+        - sum(t.quotient_dims(dist, degree, mesh.edges[eid]) for eid in mesh.interior_edges)
+        + sum(t.quotient_dims(dist, degree, mesh.vertices[vid]) for vid in mesh.interior_vertices)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces())
+def test_combinatorial_term_matches_the_face_by_face_sum(space):
+    mesh, dist, degree = space
+    assert t.combinatorial_term(mesh, dist, degree) == _combinatorial_term_by_faces(mesh, dist, degree)
+
+
+_FRACTION_OPS = ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+def test_face_sums_and_segments_touch_each_node_line_a_bounded_number_of_times(monkeypatch):
+    # The combinatorial term and the segment grouping depend only on node
+    # lines, so their Fraction work must scale with the lines, not the faces.
+    mesh = grid_mesh(16, 16)
+    dist = t.constant_distribution(mesh, 1, 1)
+    calls = Counter()
+    for name in _FRACTION_OPS:
+        def counted(*args, _name=name, _original=getattr(F, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(F, name, counted)
+    term = t.combinatorial_term(mesh, dist, (3, 3))
+    analysis = t.analyze_segments(mesh)
+    monkeypatch.undo()
+    assert term == _combinatorial_term_by_faces(mesh, dist, (3, 3))
+    assert len(analysis.segments) == 30
+    lines = len(mesh.nodes_x) + len(mesh.nodes_y)
+    assert sum(calls.values()) <= 2 * lines, calls
 
 
 def test_combinatorial_term_constant_case_formula():

@@ -254,11 +254,13 @@ def test_per_node_smoothness_resolution():
 
 
 def test_smoothness_for_unknown_node_rejected():
-    text = EX51_TEXT + "smooth h 7 0\n"
-    doc = parse_tmesh(text)
-    mesh = document_mesh(doc)
-    with pytest.raises(UnknownNode):
-        document_smoothness(doc, mesh)
+    # 1/2 is a node line of EX51, but a horizontal one (a y), not an x.
+    for line in ("smooth h 7 0", "smooth v 1/3 1", "smooth h 1/2 1"):
+        doc = parse_tmesh(EX51_TEXT + "smooth v 1/2 2\n" + line + "\n")
+        mesh = document_mesh(doc)
+        with pytest.raises(UnknownNode) as info:
+            document_smoothness(doc, mesh)
+        assert str(info.value) == f"{' '.join(line.split()[:3])}: not a node of the mesh"
 
 
 def test_tsub_roundtrip_and_apply():

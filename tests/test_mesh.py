@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 import tsplinedim as t
+from tsplinedim.formats import MeshDocument, document_mesh, format_tmesh, parse_tmesh
 from tsplinedim.mesh import _check_overlaps, _sweep_finds_overlap
 from tsplinedim.errors import (
     DegenerateCell,
@@ -26,6 +27,7 @@ from meshgen import (
     ex51_mesh,
     grid_mesh,
     random_mesh,
+    spaces,
 )
 
 
@@ -133,6 +135,69 @@ def test_build_deterministic_under_input_order():
         ]
         assert [v.position for v in again.vertices] == [v.position for v in reference.vertices]
         assert [v.kind for v in again.vertices] == [v.kind for v in reference.vertices]
+
+
+def test_a_one_shot_iterable_builds_the_same_records():
+    rng = random.Random(17)
+    for cells in [list(EX51_CELLS), list(PINWHEEL_CELLS)] + [
+        random_mesh(rng, rng.randrange(1, 30), 3, 2)[0].cell_rects() for _ in range(5)
+    ]:
+        expected = _record_text(t.build_mesh(cells))
+        assert _record_text(t.build_mesh(cell for cell in cells)) == expected
+        assert _record_text(t.build_mesh(iter(cell) for cell in cells)) == expected
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ((0, 0, 0.5, 1), TypeError, "is a float"),
+        ((0, 0, "x", 1), ValueError, "cannot parse rational 'x'"),
+        ((0, 0, "1e3", 1), ValueError, "exponents are not allowed"),
+    ],
+)
+def test_the_first_bad_cell_in_input_order_raises(bad, error, message):
+    # Coordinates are coerced before the lattice check, yet a degenerate
+    # cell ahead of a cell that cannot be coerced is still reported first.
+    degenerate = (1, 0, 1, 1)
+    with pytest.raises(DegenerateCell, match=r"^degenerate rectangle \[1, 0, 1, 1\]$"):
+        t.build_mesh([(0, 0, 1, 1), degenerate, bad])
+    with pytest.raises(error, match=message) as caught:
+        t.build_mesh([(0, 0, 1, 1), bad, degenerate])
+    assert not isinstance(caught.value, DegenerateCell)
+
+
+def _line_text(mesh):
+    return f"{mesh.edge_line} {mesh.vertex_xline} {mesh.vertex_yline}"
+
+
+def test_document_mesh_matches_build_mesh():
+    # document_mesh builds on the lattice MeshDocument.make sorted on; a
+    # document made without make goes through build_mesh.
+    rng = random.Random(23)
+    for cells in [list(EX11_CELLS), list(EX51_CELLS), list(PINWHEEL_CELLS)] + [
+        random_mesh(rng, rng.randrange(1, 40), 3, 4)[0].cell_rects() for _ in range(8)
+    ]:
+        doc = parse_tmesh(format_tmesh(MeshDocument.make(cells)))
+        rng.shuffle(cells)
+        expected = t.build_mesh(cells)
+        for mesh in (document_mesh(doc), document_mesh(MeshDocument(doc.cells))):
+            assert _record_text(mesh) == _record_text(expected)
+            assert _line_text(mesh) == _line_text(expected)
+    for doc in (MeshDocument.make([(0, 0, 1, 1), (1, 0, 1, 1)]), MeshDocument.make([])):
+        with pytest.raises(DegenerateCell):
+            document_mesh(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces())
+def test_line_indices_name_the_node_lines(space):
+    mesh = space[0]
+    assert len(mesh.edge_line) == len(mesh.edges)
+    for e in mesh.edges:
+        assert (mesh.nodes_y if e.horizontal else mesh.nodes_x)[mesh.edge_line[e.id]] == e.coord
+    assert len(mesh.vertex_xline) == len(mesh.vertex_yline) == len(mesh.vertices)
+    for v in mesh.vertices:
+        assert (mesh.nodes_x[mesh.vertex_xline[v.id]], mesh.nodes_y[mesh.vertex_yline[v.id]]) == v.position
 
 
 def test_vertex_classification():

@@ -2,6 +2,8 @@ import random
 
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+
 import tsplinedim as t
 
 from meshgen import (
@@ -11,6 +13,7 @@ from meshgen import (
     grid3x3_history,
     pinwheel_mesh,
     random_mesh,
+    spaces,
     subdivide_center_3x3,
 )
 
@@ -195,3 +198,42 @@ def test_blocking_matches_the_all_pairs_scan():
         assert t.blocking(a) == _blocking_by_scan(a)
         checked += len(t.blocking(a))
     assert checked > 500  # the family really exercises blocking
+
+
+def _segments_by_fractions(mesh):
+    """Reference route: group the interior edges on (direction, coord) and
+    chain them by comparing Fraction ends, as (direction, coord, lo, hi,
+    edges, vertices, interior) in (direction, coord, lo) order."""
+    by_line = {}
+    for eid in mesh.interior_edges:
+        e = mesh.edges[eid]
+        by_line.setdefault((e.direction, e.coord), []).append(e)
+    runs = []
+    for (direction, coord), line_edges in by_line.items():
+        line_edges.sort(key=lambda e: e.lo)
+        run = [line_edges[0]]
+        for e in line_edges[1:]:
+            if e.lo == run[-1].hi:
+                run.append(e)
+            else:
+                runs.append((direction, coord, run))
+                run = [e]
+        runs.append((direction, coord, run))
+    runs.sort(key=lambda item: (item[0], item[1], item[2][0].lo))
+    found = []
+    for direction, coord, run in runs:
+        vertices = (run[0].start,) + tuple(e.end for e in run)
+        interior = mesh.vertices[vertices[0]].interior and mesh.vertices[vertices[-1]].interior
+        found.append((direction, coord, run[0].lo, run[-1].hi, tuple(e.id for e in run), vertices, interior))
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces())
+def test_segments_match_the_fraction_keyed_grouping(space):
+    mesh = space[0]
+    segments = t.analyze_segments(mesh).segments
+    assert [s.id for s in segments] == list(range(len(segments)))
+    assert [
+        (s.direction, s.coord, s.lo, s.hi, s.edges, s.vertices, s.interior) for s in segments
+    ] == _segments_by_fractions(mesh)
