@@ -96,6 +96,14 @@ def _read(path, parser):
         parser.error(f"cannot read {path}: {exc}")
 
 
+def _write(path, text, parser):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc}")
+
+
 def _emit_error(exc, as_json):
     name = type(exc).__name__
     if as_json:
@@ -216,8 +224,7 @@ def cmd_dim(args, parser):
     analysis = analyze_segments(mesh)
     report = dimension.dimension_bounds(mesh, dist, degree, args.ordering, history, analysis=analysis)
     if args.dump_matrix:
-        with open(args.dump_matrix, "w", encoding="utf-8") as fh:
-            fh.write(oracle.build_spline_system(mesh, dist, degree).dump_triplets())
+        _write(args.dump_matrix, oracle.build_spline_system(mesh, dist, degree).dump_triplets(), parser)
     if args.exact:
         # dim = combinatorial term + h.  The kernel of the cell system,
         # oracle.spline_dimension_exact, is the reference the tests hold this to.
@@ -262,8 +269,7 @@ def cmd_subdivide(args, parser):
         degree = (args.m, args.n)
     mesh, expanded = apply_history(history, smoothness, degree, rule)
     if args.emit_history:
-        with open(args.emit_history, "w", encoding="utf-8") as fh:
-            fh.write(format_tsub(expanded))
+        _write(args.emit_history, format_tsub(expanded), parser)
     doc = MeshDocument.make([c.rect for c in mesh.cells])
     if args.json:
         print(json.dumps({"cells": len(mesh.cells), "tmesh": format_tmesh(doc)}))

@@ -9,9 +9,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .errors import BadRational, TmeshSyntaxError, UnknownDirective, UnknownNode
+from .errors import BadRational, MeshError, TmeshSyntaxError, UnknownDirective, UnknownNode
 from .hierarchy import SplitEvent, SubdivisionHistory, weighted_split
-from .mesh import _mesh, as_fraction, build_mesh, to_lattice
+from .mesh import _mesh, as_fraction, build_mesh, lattice, to_lattice
 from .smoothness import SmoothnessDistribution, constant_distribution
 
 
@@ -30,7 +30,8 @@ def parse_rational(token, line=None):
 
 def _token_reader():
     """``parse_rational`` behind a per-document ``{token: Fraction}`` memo, so
-    each distinct token is read once; a bad token raises on its first line."""
+    each distinct token is read once; a bad token raises on its first line.
+    Returns the reader and its memo."""
     memo = {}
 
     def read(token, line):
@@ -39,7 +40,7 @@ def _token_reader():
             value = memo[token] = parse_rational(token, line)
         return value
 
-    return read
+    return read, memo
 
 
 def _parse_int(token, line):
@@ -65,9 +66,10 @@ class MeshDocument:
     smooth_h: tuple = ()
     smooth_v: tuple = ()
 
-    # Not a field: ``make`` sets it to the cells on their integer lattice
-    # (``to_lattice``), which it sorts on, so that ``document_mesh`` scales
-    # them no second time.  A document built or replaced otherwise has none.
+    # Not a field: ``make`` and ``parse_tmesh`` set it to the cells on their
+    # integer lattice (see ``mesh.to_lattice``), which they sort on, so that
+    # ``document_mesh`` scales them no second time.  A document built or
+    # replaced otherwise has none.
     _grid = None
 
     @staticmethod
@@ -80,16 +82,30 @@ class MeshDocument:
         order of their ``Fraction`` tuples.
         """
         cells = [tuple(map(as_fraction, rect)) for rect in cells]
-        keyed = sorted(zip(to_lattice(cells), cells), key=operator.itemgetter(0))
-        grid = tuple(ints for ints, _ in keyed)
-        cells = tuple(cell for _, cell in keyed)
         if default_smooth is not None:
             default_smooth = tuple(map(operator.index, default_smooth))
-        smooth_h = tuple(sorted((as_fraction(k), operator.index(v)) for k, v in dict(smooth_h).items()))
-        smooth_v = tuple(sorted((as_fraction(k), operator.index(v)) for k, v in dict(smooth_v).items()))
-        doc = MeshDocument(cells, default_smooth, smooth_h, smooth_v)
-        object.__setattr__(doc, "_grid", grid)
+        smooth_h = [(as_fraction(k), operator.index(v)) for k, v in dict(smooth_h).items()]
+        smooth_v = [(as_fraction(k), operator.index(v)) for k, v in dict(smooth_v).items()]
+        return MeshDocument._sorted(cells, to_lattice(cells), default_smooth, smooth_h, smooth_v)
+
+    @staticmethod
+    def _sorted(cells, grid, default_smooth, smooth_h, smooth_v):
+        """The document of exact cells, given on their integer lattice as
+        ``grid`` in the same order, and of (node, order) pairs: both sorted,
+        the cells on their lattice keys."""
+        keyed = sorted(zip(grid, cells), key=operator.itemgetter(0))
+        cells = tuple(cell for _, cell in keyed)
+        doc = MeshDocument(cells, default_smooth, tuple(sorted(smooth_h)), tuple(sorted(smooth_v)))
+        object.__setattr__(doc, "_grid", tuple(ints for ints, _ in keyed))
         return doc
+
+
+def _check_cell_lines(grid, numbers):
+    """Raise for the first cell line, in file order, of zero width or height;
+    ``grid`` holds the cells on any monotone scale, such as the lattice."""
+    for (x0, y0, x1, y1), number in zip(grid, numbers):
+        if x0 >= x1 or y0 >= y1:
+            raise TmeshSyntaxError("degenerate rectangle", number)
 
 
 def parse_tmesh(text):
@@ -101,39 +117,54 @@ def parse_tmesh(text):
     if header != ["tmesh", "1"]:
         raise TmeshSyntaxError("expected header 'tmesh 1'", number)
 
-    rational = _token_reader()
-    cells = []
+    rational, memo = _token_reader()
+    cells = []  # the four coordinate tokens of each cell line
+    numbers = []  # and its line number
     default_smooth = None
     smooth_h = {}
     smooth_v = {}
-    for number, tokens in lines:
-        directive, args = tokens[0], tokens[1:]
-        if directive == "cell":
-            if len(args) != 4:
-                raise TmeshSyntaxError("cell needs 4 coordinates", number)
-            x0, y0, x1, y1 = (rational(t, number) for t in args)
-            if x0 >= x1 or y0 >= y1:
-                raise TmeshSyntaxError("degenerate rectangle", number)
-            cells.append((x0, y0, x1, y1))
-        elif directive == "smooth":
-            if len(args) != 3 or args[0] not in ("h", "v"):
-                raise TmeshSyntaxError("usage: smooth h|v <node> <order>", number)
-            node = rational(args[1], number)
-            order = _parse_int(args[2], number)
-            if order < 0:
-                raise TmeshSyntaxError("smoothness order must be nonnegative", number)
-            (smooth_h if args[0] == "h" else smooth_v)[node] = order
-        elif directive == "default-smooth":
-            if len(args) != 2:
-                raise TmeshSyntaxError("usage: default-smooth <r> <r'>", number)
-            default_smooth = (_parse_int(args[0], number), _parse_int(args[1], number))
-            if min(default_smooth) < 0:
-                raise TmeshSyntaxError("smoothness order must be nonnegative", number)
-        else:
-            raise UnknownDirective(f"unknown directive {directive!r}", number)
+    try:
+        for number, tokens in lines:
+            directive, args = tokens[0], tokens[1:]
+            if directive == "cell":
+                if len(args) != 4:
+                    raise TmeshSyntaxError("cell needs 4 coordinates", number)
+                for token in args:
+                    if token not in memo:
+                        rational(token, number)
+                cells.append(args)
+                numbers.append(number)
+            elif directive == "smooth":
+                if len(args) != 3 or args[0] not in ("h", "v"):
+                    raise TmeshSyntaxError("usage: smooth h|v <node> <order>", number)
+                node = rational(args[1], number)
+                order = _parse_int(args[2], number)
+                if order < 0:
+                    raise TmeshSyntaxError("smoothness order must be nonnegative", number)
+                (smooth_h if args[0] == "h" else smooth_v)[node] = order
+            elif directive == "default-smooth":
+                if len(args) != 2:
+                    raise TmeshSyntaxError("usage: default-smooth <r> <r'>", number)
+                default_smooth = (_parse_int(args[0], number), _parse_int(args[1], number))
+                if min(default_smooth) < 0:
+                    raise TmeshSyntaxError("smoothness order must be nonnegative", number)
+            else:
+                raise UnknownDirective(f"unknown directive {directive!r}", number)
+    except MeshError:
+        # A degenerate cell line before this one is the first error.
+        _check_cell_lines(([memo[token] for token in cell] for cell in cells), numbers)
+        raise
     if not cells:
         raise TmeshSyntaxError("no 'cell' line: a tmesh needs at least one cell")
-    return MeshDocument.make(cells, default_smooth, smooth_h, smooth_v)
+
+    # One lattice int per distinct cell token; the cells are checked and
+    # sorted on those ints, and no Fraction is compared.
+    tokens = list(set().union(*cells))
+    ints = dict(zip(tokens, lattice([memo[token] for token in tokens])))
+    grid = [tuple(map(ints.__getitem__, cell)) for cell in cells]
+    _check_cell_lines(grid, numbers)
+    cells = [tuple(map(memo.__getitem__, cell)) for cell in cells]
+    return MeshDocument._sorted(cells, grid, default_smooth, smooth_h.items(), smooth_v.items())
 
 
 def format_tmesh(doc):
@@ -196,7 +227,7 @@ def parse_tsub(text):
     if header != ["tsub", "1"]:
         raise TmeshSyntaxError("expected header 'tsub 1'", number)
 
-    rational = _token_reader()
+    rational, _ = _token_reader()
     initial = None
     events = []
     for number, tokens in lines:

@@ -10,6 +10,12 @@ lcm of all coordinate denominators, and checks, sorts, keys and compares
 plain ints; the overlap check is a sort-and-sweep over y.  A parsed document
 hands over the lattice it was sorted on, so its cells are not scaled twice.
 
+The edges come from one walk over the corners sorted by (y, x).  The corners
+on a horizontal line are a contiguous run of vertex ids, and those on a
+vertical line a contiguous run of one column-ordered list of the ids, so
+each cell side marks its owner on a slice of fragments, and the walk emits
+each vertex's right fragment, then its up fragment, in canonical order.
+
 Beside the ``Fraction`` records, a ``TMesh`` indexes its node lines with flat
 int tuples: the line of each edge and the x- and y-line of each vertex, as
 positions in ``nodes_x``/``nodes_y``.  Work that depends only on the lines
@@ -154,7 +160,9 @@ class TMesh:
 
     The vertices are exactly the cell corners.  Canonical ids: vertices
     sorted by (y, x), cells by (y0, x0), edges by their (start, end) vertex
-    ids, so identical input cell lists give identical meshes.
+    ids, so identical input cell lists give identical meshes.  A horizontal
+    edge runs from vertex v to v + 1; a vertical one from v to the next
+    corner above v on its line.
 
     Beside the ``Fraction`` records, flat int tuples index the node lines:
     ``edge_line[eid]`` is the position of an edge's supporting line in
@@ -232,14 +240,20 @@ def _check_cells(rects, grid):
 
 
 def to_lattice(rects):
-    """The rects of exact coordinates on one integer lattice: every coordinate
-    times the lcm of all their denominators.
+    """The rects of exact coordinates on one integer lattice (see ``lattice``)."""
+    ints = iter(lattice([v for rect in rects for v in rect]))
+    return list(zip(ints, ints, ints, ints))
 
-    The scaling is monotone and one-to-one, so the integer tuples sort, key
-    and compare exactly as the ``Fraction`` tuples do, at int speed.
+
+def lattice(values):
+    """Exact values on one integer lattice: each times the lcm of all their
+    denominators.
+
+    The scaling is monotone and one-to-one, so the ints sort, key and
+    compare exactly as the ``Fraction`` values do, at int speed.
     """
-    scale = math.lcm(*{v.denominator for rect in rects for v in rect})
-    return [tuple(v.numerator * (scale // v.denominator) for v in rect) for rect in rects]
+    scale = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _format_rect(rect):
@@ -309,115 +323,147 @@ def _mesh(rects, grid):
     if _sweep_finds_overlap(grid):
         _check_overlaps(rects)  # names the first overlapping pair in canonical order
 
-    # The vertices are the cell corners: every fragment below ends at a
-    # corner on its line, and every corner ends its own cell's side
-    # fragments.  Walking the corners, keyed (y, x), in order gives the
-    # canonical vertex ids and fills both per-line lists already sorted.
+    # The vertices are the cell corners, with ids in (y, x) order, so the
+    # corners on one horizontal line are one contiguous vid range.  A stable
+    # sort of the vids by x lists the corners of each vertical line
+    # contiguously too: `column` is that list and `place[vid]` a vertex's
+    # position in it.  Every fragment below ends at a corner on its line, and
+    # every corner ends its own cell's side fragments.
     corners = set()
     for x0, y0, x1, y1 in grid:
         corners.update(((y0, x0), (y0, x1), (y1, x0), (y1, x1)))
     points = sorted(corners)
+    count = len(points)
     vid_at = {point: vid for vid, point in enumerate(points)}
-    xs_at_y: dict[int, list[int]] = {}
-    ys_at_x: dict[int, list[int]] = {}
-    for y, x in points:
-        xs_at_y.setdefault(y, []).append(x)
-        ys_at_x.setdefault(x, []).append(y)
-    # Node-line indices: nodes_y is the y order of xs_at_y, nodes_x the
-    # sorted x keys of ys_at_x.  Every corner lies on one line of each.
-    y_line = {y: i for i, y in enumerate(xs_at_y)}
-    x_line = {x: i for i, x in enumerate(sorted(ys_at_x))}
+    point_x = [x for _, x in points]
+    column = sorted(range(count), key=point_x.__getitem__)
+    place = [0] * count
+    for position, vid in enumerate(column):
+        place[vid] = position
+    # Node-line indices: nodes_y is the distinct y of the corners in vid
+    # order, nodes_x their sorted distinct x.  Every corner lies on one line
+    # of each.
+    y_line = {y: i for i, y in enumerate(dict.fromkeys(y for y, _ in points))}
+    x_line = {x: i for i, x in enumerate(sorted(set(point_x)))}
+    vertex_xline = tuple(x_line[x] for x in point_x)
+    vertex_yline = tuple(y_line[y] for y, _ in points)
 
-    # Fragment each cell side at every corner point on it; key fragments by
-    # (direction, line coordinate, span) and collect the owner cell ids.
-    # Both ends of a side are corners on its line.
-    fragments: dict[tuple, list[int]] = {}
-
-    def side(cell_id, direction, coord, lo, hi):
-        pts = xs_at_y[coord] if direction == HORIZONTAL else ys_at_x[coord]
-        i = bisect_left(pts, lo)
-        span = pts[i:bisect_left(pts, hi, i) + 1]
-        for a, b in zip(span, span[1:]):
-            fragments.setdefault((direction, coord, a, b), []).append(cell_id)
-
+    # A side fragment runs from a corner to the next corner on its line: from
+    # vid v to v + 1 when horizontal, from column[k] to column[k + 1] when
+    # vertical.  So a cell side covers the fragments that start at a slice of
+    # the vids, or of the column positions, and each fragment records the
+    # cell on either side of it.  A second cell on the same side of a
+    # fragment would overlap the first, which the sweep above has refused,
+    # so no fragment has more than two owners and none needs counting.
+    below = [None] * count  # by vid: the cell whose top side holds the fragment
+    above = [None] * count  # by vid: the cell whose bottom side holds it
+    left = [None] * count  # by column position: the cell whose right side holds it
+    right = [None] * count  # by column position: the cell whose left side holds it
     for ci, (x0, y0, x1, y1) in enumerate(grid):
-        side(ci, HORIZONTAL, y0, x0, x1)
-        side(ci, HORIZONTAL, y1, x0, x1)
-        side(ci, VERTICAL, x0, y0, y1)
-        side(ci, VERTICAL, x1, y0, y1)
+        v00, v10, v01, v11 = vid_at[(y0, x0)], vid_at[(y0, x1)], vid_at[(y1, x0)], vid_at[(y1, x1)]
+        above[v00:v10] = [ci] * (v10 - v00)
+        below[v01:v11] = [ci] * (v11 - v01)
+        k0, k1 = place[v00], place[v01]
+        right[k0:k1] = [ci] * (k1 - k0)
+        k0, k1 = place[v10], place[v11]
+        left[k0:k1] = [ci] * (k1 - k0)
 
-    # Edges sorted by their (start, end) vertex ids, which is the (y, x)
-    # order of their end points.
-    spans = []
-    for (direction, coord, lo, hi), owners in fragments.items():
-        fragment = (direction, exact[coord], exact[lo], exact[hi])
-        if len(owners) > 2:
-            raise OverlappingCells(f"edge fragment {fragment} claimed by {len(owners)} cells")
-        if direction == HORIZONTAL:
-            start, end, line = vid_at[(coord, lo)], vid_at[(coord, hi)], y_line[coord]
-        else:
-            start, end, line = vid_at[(lo, coord)], vid_at[(hi, coord)], x_line[coord]
-        spans.append((start, end, fragment, tuple(sorted(owners)), line))
-    spans.sort(key=lambda s: (s[0], s[1]))
+    # Walking the vids in order and taking each vertex's right fragment, then
+    # its up fragment, gives the edges sorted by their (start, end) vertex
+    # ids: the right neighbour v + 1 comes before any vertex on a higher line.
+    # The cell below a horizontal fragment sorts before the one above it.
+    # The walk also counts the boundary edges at each vertex and lists the
+    # cell pairs that share an interior edge.
+    xs = [exact[x] for x in point_x]
+    ys = [exact[y] for y, _ in points]
+    up = column[1:] + [None]
     edges = []
+    edge_line = []
+    shared = []
     h_edges_of: list[list[int]] = [[] for _ in points]
     v_edges_of: list[list[int]] = [[] for _ in points]
-    for eid, (start, end, (direction, coord, lo, hi), owners, _) in enumerate(spans):
-        edges.append(Edge(eid, start, end, direction, len(owners) == 2, owners, coord, lo, hi))
-        incident = h_edges_of if direction == HORIZONTAL else v_edges_of
-        incident[start].append(eid)
-        incident[end].append(eid)
+    h_boundary = [0] * count
+    v_boundary = [0] * count
+    for vid, a, b, position in zip(range(count), below, above, place):
+        if a is not None or b is not None:
+            end = vid + 1
+            if a is None or b is None:
+                owners = (b,) if a is None else (a,)
+                h_boundary[vid] += 1
+                h_boundary[end] += 1
+            else:
+                owners = (a, b)
+                shared.append(owners)
+            eid = len(edges)
+            edges.append(Edge(eid, vid, end, HORIZONTAL, len(owners) == 2, owners, ys[vid], xs[vid], xs[end]))
+            edge_line.append(vertex_yline[vid])
+            h_edges_of[vid].append(eid)
+            h_edges_of[end].append(eid)
+        a, b = left[position], right[position]
+        if a is not None or b is not None:
+            end = up[position]
+            if a is None or b is None:
+                owners = (b,) if a is None else (a,)
+                v_boundary[vid] += 1
+                v_boundary[end] += 1
+            else:
+                owners = (a, b) if a < b else (b, a)
+                shared.append(owners)
+            eid = len(edges)
+            edges.append(Edge(eid, vid, end, VERTICAL, len(owners) == 2, owners, xs[vid], ys[vid], ys[end]))
+            edge_line.append(vertex_xline[vid])
+            v_edges_of[vid].append(eid)
+            v_edges_of[end].append(eid)
     edges = tuple(edges)
 
     # Classify vertices; incidence anomalies are reported only after the
     # connectivity and Euler checks, which give more specific errors.
     vertices = []
     anomalies = []
-    for vid, (y, x) in enumerate(points):
-        x, y = exact[x], exact[y]
-        h_list, v_list = tuple(h_edges_of[vid]), tuple(v_edges_of[vid])
+    f0o = 0
+    for vid, x, y, h_list, v_list, h_ends, v_ends in zip(
+        range(count), xs, ys, h_edges_of, v_edges_of, h_boundary, v_boundary
+    ):
         if not h_list or not v_list:
             anomalies.append(f"vertex ({x}, {y}) misses a horizontal or vertical edge")
-        h_boundary = sum(1 for eid in h_list if not edges[eid].interior)
-        v_boundary = sum(1 for eid in v_list if not edges[eid].interior)
         degree = len(h_list) + len(v_list)
-        if h_boundary or v_boundary:
-            if h_boundary + v_boundary != 2:
-                anomalies.append(
-                    f"boundary vertex ({x}, {y}) has {h_boundary + v_boundary} boundary edges"
-                )
-            kind = CORNER if (h_boundary and v_boundary) else BOUNDARY
-        elif degree == 4:
-            kind = CROSSING
-        elif degree == 3:
-            kind = T_VERTEX
+        if h_ends or v_ends:
+            if h_ends + v_ends != 2:
+                anomalies.append(f"boundary vertex ({x}, {y}) has {h_ends + v_ends} boundary edges")
+            kind = CORNER if (h_ends and v_ends) else BOUNDARY
         else:
-            anomalies.append(f"interior vertex ({x}, {y}) has degree {degree}")
-            kind = T_VERTEX
-        vertices.append(Vertex(vid, x, y, kind, h_list, v_list))
+            f0o += 1
+            if degree == 4:
+                kind = CROSSING
+            elif degree == 3:
+                kind = T_VERTEX
+            else:
+                anomalies.append(f"interior vertex ({x}, {y}) has degree {degree}")
+                kind = T_VERTEX
+        vertices.append(Vertex(vid, x, y, kind, tuple(h_list), tuple(v_list)))
     vertices = tuple(vertices)
     cells = tuple(Cell(ci, *rect) for ci, rect in enumerate(rects))
 
     # Dual connectivity over shared interior edges.
-    adjacency: dict[int, set[int]] = {ci: set() for ci in range(len(cells))}
-    for e in edges:
-        if e.interior:
-            a, b = e.cells
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    seen = {0}
+    adjacency: list[list[int]] = [[] for _ in cells]
+    for a, b in shared:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    seen = [False] * len(cells)
+    seen[0] = True
+    reached = 1
     stack = [0]
     while stack:
         for nb in adjacency[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
+            if not seen[nb]:
+                seen[nb] = True
+                reached += 1
                 stack.append(nb)
-    if len(seen) != len(cells):
-        raise DisconnectedDomain(f"{len(cells) - len(seen)} cells unreachable in the dual graph")
+    if reached != len(cells):
+        raise DisconnectedDomain(f"{len(cells) - reached} cells unreachable in the dual graph")
 
     f2 = len(cells)
-    f1o = sum(1 for e in edges if e.interior)
-    f0o = sum(1 for v in vertices if v.interior)
+    f1o = len(shared)
     if f2 - f1o + f0o != 1:
         raise DomainNotSimplyConnected(f"Euler count f2 - f1o + f0o = {f2 - f1o + f0o} != 1")
     if anomalies:
@@ -425,16 +471,15 @@ def _mesh(rects, grid):
 
     _walk_boundary(edges)
 
-    # Every corner has a vertical and a horizontal cell side through it.
     return TMesh(
         cells,
         edges,
         vertices,
         tuple(exact[x] for x in x_line),
         tuple(exact[y] for y in y_line),
-        tuple(s[4] for s in spans),
-        tuple(x_line[x] for _, x in points),
-        tuple(y_line[y] for y, _ in points),
+        tuple(edge_line),
+        vertex_xline,
+        vertex_yline,
     )
 
 

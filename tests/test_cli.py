@@ -231,6 +231,24 @@ def test_non_utf8_input_is_a_usage_error(tmp_path, capsys):
     assert f"cannot read {bad}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "{mesh}", "-m", "2", "-n", "2", "--smooth", "1,1", "--dump-matrix", "{target}"],
+        ["subdivide", "{history}", "--emit-history", "{target}"],
+    ],
+)
+def test_an_unwritable_output_path_is_a_usage_error(argv, ex51_file, tmp_path, capsys):
+    history = tmp_path / "h.tsub"
+    history.write_text("tsub 1\ninit 0 0 2 2\nsplit 0 v 1\n")
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        args = [a.format(mesh=ex51_file, history=history, target=target) for a in argv]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write {target}: " in captured.err
+
+
 def test_dump_matrix_with_exact_assembles_once(ex51_file, tmp_path, monkeypatch, capsys):
     calls = []
     build = oracle.build_spline_system

@@ -226,6 +226,43 @@ def test_each_distinct_token_is_parsed_once(monkeypatch):
     assert sorted(parses) == ["0", "2", "4"]
 
 
+def test_parsing_and_building_a_grid_compares_no_fraction(monkeypatch):
+    # The parser checks and sorts the cells on lattice ints, and the build
+    # keys and compares the same ints, so no Fraction is ever compared.
+    compared = []
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+
+        def counting(a, b, _name=name, _compare=getattr(F, name)):
+            compared.append(_name)
+            return _compare(a, b)
+
+        monkeypatch.setattr(F, name, counting)
+    text = "tmesh 1\n" + "".join(f"cell {i} {j} {i + 1} {j + 1}\n" for i in range(32) for j in range(32))
+    mesh = document_mesh(parse_tmesh(text))
+    assert len(mesh.cells) == 32 * 32
+    assert compared == []
+    assert F(1, 2) < F(2, 3) and compared == ["__lt__"]  # the counter counts
+
+
+@pytest.mark.parametrize(
+    "line5, error",
+    [
+        ("cell 0 0 one 1", BadRational),
+        ("cell 0 0 1", TmeshSyntaxError),
+        ("vertex 0 0", UnknownDirective),
+        ("smooth h 1 -1", TmeshSyntaxError),
+    ],
+)
+def test_a_degenerate_cell_line_is_reported_before_a_later_error(line5, error):
+    lines = ["tmesh 1", "cell 0 0 1 1", "cell 1 0 {x1} 1", "cell 1 0 2 1", line5]
+    with pytest.raises(error) as later:
+        parse_tmesh("\n".join(lines).format(x1=2) + "\n")
+    assert later.value.line == 5
+    with pytest.raises(TmeshSyntaxError, match="degenerate rectangle") as first:
+        parse_tmesh("\n".join(lines).format(x1=1) + "\n")
+    assert first.value.line == 3
+
+
 def test_exponent_tokens_are_refused_quickly():
     # Fraction("1e99999999") would build a 10**99999999 first; the grammar
     # (integers, decimals, p/q) has no exponent, so the token is refused.

@@ -18,14 +18,17 @@ def test_no_assert_statements_in_package():
 
 
 def test_no_true_division_in_mesh():
-    # build_mesh computes on lattice ints, where `/` would make a float.
-    path = PACKAGE / "mesh.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
-    ]
+    # build_mesh and parse_tmesh compute on lattice ints, where `/` would
+    # make a float.
+    found = []
+    for name in ("mesh.py", "formats.py"):
+        path = PACKAGE / name
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        ]
     assert found == []
 
 
