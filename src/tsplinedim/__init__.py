@@ -24,6 +24,7 @@ from .dimension import (
 from .errors import (
     BadRational,
     CoordinateOnCellBoundary,
+    CoordinateOutOfRange,
     DanglingGeometry,
     DegenerateCell,
     DegreeOutOfRange,

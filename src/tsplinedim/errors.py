@@ -48,6 +48,10 @@ class NonConstantSmoothness(MeshError):
     """The weighted subdivision rule was asked to run under per-line smoothness."""
 
 
+class CoordinateOutOfRange(MeshError):
+    """A coordinate is too large to draw: SVG numbers are floats."""
+
+
 class DuplicatePoints(MeshError):
     """Shifted-power points must be pairwise distinct."""
 

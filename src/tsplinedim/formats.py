@@ -254,6 +254,8 @@ def parse_tsub(text):
                 events.append(SplitEvent(cell, args[1], coord))
             else:
                 rule = (_parse_int(args[3], number), _parse_int(args[4], number))
+                if min(rule) < 0:
+                    raise TmeshSyntaxError("wsplit rule k, k' must be nonnegative", number)
                 events.append(SplitEvent(cell, args[1], coord, rule))
         else:
             raise UnknownDirective(f"unknown directive {directive!r}", number)

@@ -3,12 +3,13 @@
 A T-mesh is entered as a bare list of axis-aligned rational rectangles.
 The vertices are the cell corners; the edges are the cell sides cut at every
 corner that lands on them, with the fragments shared by adjacent cells
-merged.  Every coordinate in every record is an exact ``Fraction``, so
-incidence tests never depend on tolerances.  Inside, ``build_mesh`` coerces
-each coordinate once and scales the cells once onto one integer lattice, the
-lcm of all coordinate denominators, and checks, sorts, keys and compares
-plain ints; the overlap check is a sort-and-sweep over y.  A parsed document
-hands over the lattice it was sorted on, so its cells are not scaled twice.
+merged.  Every coordinate in the named-tuple records ``Cell``, ``Edge`` and
+``Vertex`` is an exact ``Fraction``, so incidence tests never depend on
+tolerances.  Inside, ``build_mesh`` coerces each coordinate once and scales
+the cells once onto one integer lattice, the lcm of all coordinate
+denominators, and checks, sorts, keys and compares plain ints; the overlap
+check is a sort-and-sweep over y.  A parsed document hands over the lattice
+it was sorted on, so its cells are not scaled twice.
 
 The edges come from one walk over the corners sorted by (y, x).  The corners
 on a horizontal line are a contiguous run of vertex ids, and those on a
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     DanglingGeometry,
@@ -68,14 +70,11 @@ def as_fraction(value):
         raise ValueError(f"cannot parse rational {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: int
     x: Fraction
     y: Fraction
     kind: str
-    h_edges: tuple[int, ...]
-    v_edges: tuple[int, ...]
 
     @property
     def position(self):
@@ -86,8 +85,7 @@ class Vertex:
         return self.kind in (CROSSING, T_VERTEX)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: int
     start: int  # vertex id at (lo) end: left for horizontal, bottom for vertical
     end: int
@@ -103,8 +101,7 @@ class Edge:
         return self.direction == HORIZONTAL
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     id: int
     x0: Fraction
     y0: Fraction
@@ -156,13 +153,13 @@ class IdentityReport:
 
 
 class TMesh:
-    """Immutable planar T-mesh with classified faces.
+    """Immutable planar T-mesh: tuples of ``Cell``, ``Edge`` and ``Vertex``.
 
-    The vertices are exactly the cell corners.  Canonical ids: vertices
-    sorted by (y, x), cells by (y0, x0), edges by their (start, end) vertex
-    ids, so identical input cell lists give identical meshes.  A horizontal
-    edge runs from vertex v to v + 1; a vertical one from v to the next
-    corner above v on its line.
+    The vertices are exactly the cell corners.  Canonical ids, each a
+    record's position in its tuple: vertices sorted by (y, x), cells by
+    (y0, x0), edges by their (start, end) vertex ids, so identical input
+    cell lists give identical meshes.  A horizontal edge runs from vertex v
+    to v + 1; a vertical one from v to the next corner above v on its line.
 
     Beside the ``Fraction`` records, flat int tuples index the node lines:
     ``edge_line[eid]`` is the position of an edge's supporting line in
@@ -185,21 +182,8 @@ class TMesh:
         self.interior_edges = tuple(e.id for e in edges if e.interior)
         self.interior_vertices = tuple(v.id for v in vertices if v.interior)
 
-    def vertex_at(self, x, y):
-        """Vertex id at an exact position, or None."""
-        position = (as_fraction(x), as_fraction(y))
-        return next((v.id for v in self.vertices if v.position == position), None)
-
     def cell_rects(self):
         return [c.rect for c in self.cells]
-
-    def cell_containing(self, x, y):
-        """Cell whose open interior contains (x, y), or None."""
-        x, y = as_fraction(x), as_fraction(y)
-        for c in self.cells:
-            if c.x0 < x < c.x1 and c.y0 < y < c.y1:
-                return c
-        return None
 
     @property
     def bbox(self):
@@ -372,18 +356,16 @@ def _mesh(rects, grid):
     # its up fragment, gives the edges sorted by their (start, end) vertex
     # ids: the right neighbour v + 1 comes before any vertex on a higher line.
     # The cell below a horizontal fragment sorts before the one above it.
-    # The walk also counts the boundary edges at each vertex and lists the
-    # cell pairs that share an interior edge.
+    # The walk also counts each vertex's edges and boundary edges per
+    # direction, and lists the cell pairs that share an interior edge.
     xs = [exact[x] for x in point_x]
     ys = [exact[y] for y, _ in points]
     up = column[1:] + [None]
     edges = []
     edge_line = []
     shared = []
-    h_edges_of: list[list[int]] = [[] for _ in points]
-    v_edges_of: list[list[int]] = [[] for _ in points]
-    h_boundary = [0] * count
-    v_boundary = [0] * count
+    h_count, v_count = [0] * count, [0] * count
+    h_boundary, v_boundary = [0] * count, [0] * count
     for vid, a, b, position in zip(range(count), below, above, place):
         if a is not None or b is not None:
             end = vid + 1
@@ -397,8 +379,8 @@ def _mesh(rects, grid):
             eid = len(edges)
             edges.append(Edge(eid, vid, end, HORIZONTAL, len(owners) == 2, owners, ys[vid], xs[vid], xs[end]))
             edge_line.append(vertex_yline[vid])
-            h_edges_of[vid].append(eid)
-            h_edges_of[end].append(eid)
+            h_count[vid] += 1
+            h_count[end] += 1
         a, b = left[position], right[position]
         if a is not None or b is not None:
             end = up[position]
@@ -412,8 +394,8 @@ def _mesh(rects, grid):
             eid = len(edges)
             edges.append(Edge(eid, vid, end, VERTICAL, len(owners) == 2, owners, xs[vid], ys[vid], ys[end]))
             edge_line.append(vertex_xline[vid])
-            v_edges_of[vid].append(eid)
-            v_edges_of[end].append(eid)
+            v_count[vid] += 1
+            v_count[end] += 1
     edges = tuple(edges)
 
     # Classify vertices; incidence anomalies are reported only after the
@@ -421,12 +403,12 @@ def _mesh(rects, grid):
     vertices = []
     anomalies = []
     f0o = 0
-    for vid, x, y, h_list, v_list, h_ends, v_ends in zip(
-        range(count), xs, ys, h_edges_of, v_edges_of, h_boundary, v_boundary
+    for vid, x, y, h, v, h_ends, v_ends in zip(
+        range(count), xs, ys, h_count, v_count, h_boundary, v_boundary
     ):
-        if not h_list or not v_list:
+        if not h or not v:
             anomalies.append(f"vertex ({x}, {y}) misses a horizontal or vertical edge")
-        degree = len(h_list) + len(v_list)
+        degree = h + v
         if h_ends or v_ends:
             if h_ends + v_ends != 2:
                 anomalies.append(f"boundary vertex ({x}, {y}) has {h_ends + v_ends} boundary edges")
@@ -440,7 +422,7 @@ def _mesh(rects, grid):
             else:
                 anomalies.append(f"interior vertex ({x}, {y}) has degree {degree}")
                 kind = T_VERTEX
-        vertices.append(Vertex(vid, x, y, kind, tuple(h_list), tuple(v_list)))
+        vertices.append(Vertex(vid, x, y, kind))
     vertices = tuple(vertices)
     cells = tuple(Cell(ci, *rect) for ci, rect in enumerate(rects))
 

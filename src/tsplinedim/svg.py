@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import CoordinateOutOfRange
 from .segments import analyze_segments
 
 _STYLE = (
@@ -24,7 +25,15 @@ def _fmt(value):
 
 def render_svg(mesh):
     """SVG picture: cells, edges (interior vs boundary), highlighted interior
-    segments, and vertices marked by kind.  Output is byte-deterministic."""
+    segments, and vertices marked by kind.  Output is byte-deterministic; a
+    number beyond float range raises CoordinateOutOfRange."""
+    try:
+        return _render(mesh)
+    except OverflowError:
+        raise CoordinateOutOfRange(f"coordinate {max(mesh.bbox, key=abs)} is beyond float range") from None
+
+
+def _render(mesh):
     analysis = analyze_segments(mesh)
     x0, y0, x1, y1 = mesh.bbox
     margin = max(x1 - x0, y1 - y0) * Fraction(1, 20)

@@ -65,9 +65,19 @@ def pinwheel_mesh():
     return t.build_mesh(PINWHEEL_CELLS)
 
 
+def cell_containing(mesh, x, y):
+    """The cell whose open interior contains (x, y), or None."""
+    return next((c for c in mesh.cells if c.x0 < x < c.x1 and c.y0 < y < c.y1), None)
+
+
+def vertex_at(mesh, x, y):
+    """The id of the vertex at (x, y), or None."""
+    return next((v.id for v in mesh.vertices if v.position == (x, y)), None)
+
+
 def split_at(mesh, hist, px, py, direction, coord):
     """Split the cell whose interior contains (px, py)."""
-    cell = mesh.cell_containing(px, py)
+    cell = cell_containing(mesh, px, py)
     return t.split_cell(mesh, hist, cell.id, direction, coord)
 
 

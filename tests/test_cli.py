@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from fractions import Fraction as F
 
 import tsplinedim as t
 from tsplinedim import oracle
@@ -356,6 +357,49 @@ def test_cli_token_fuzz_never_raises(tmp_path, capsys):
             codes.add(code)
         capsys.readouterr()
     assert codes == {0, 1, 2}
+
+
+_BIG = "1" + "0" * 400
+_TINY = "1/" + _BIG
+
+
+def _scaled_cells(cells, factor):
+    return "\n".join("cell " + " ".join(str(v * factor) for v in cell) for cell in cells)
+
+
+_HOSTILE_TMESH = {
+    "big": f"cell 0 0 {_BIG} 1",
+    "big-negative": f"cell -{_BIG} 0 0 1\ncell 0 0 1 1",
+    "big-grid": _scaled_cells(grid_cells(3, 3), int(_BIG)) + "\ndefault-smooth 1 1",
+    "tiny-steps": _scaled_cells(EX51_CELLS, F(1, int(_BIG))) + "\ndefault-smooth 1 1",
+    "tiny": f"cell 0 0 {_TINY} 1\ncell {_TINY} 0 1 1",
+    "tiny-and-big": f"cell 0 0 {_BIG} {_TINY}",
+    "zero-denominator": "cell 0 0 1/0 1",
+    "exponent": "cell 0 0 1e400 1",
+    "smooth-non-node": "cell 0 0 1 1\ncell 1 0 2 1\ndefault-smooth 1 1\nsmooth h 7 1\nsmooth v 1/2 1",
+    "negative-order": "cell 0 0 1 1\ncell 1 0 2 1\nsmooth h 1 -1",
+    "negative-default": "cell 0 0 1 1\ndefault-smooth -1 0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE_TMESH))
+def test_hostile_tmesh_texts_exit_cleanly(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.tmesh"
+    path.write_text(f"tmesh 1\n{_HOSTILE_TMESH[name]}\n")
+    space = ["-m", "2", "-n", "2"]
+    argvs = [["validate"], ["validate", "--json"], ["stats"], ["stats", "--json"], ["svg"]]
+    for smooth in ([], ["--smooth", "1,1"]):
+        argvs += [["mis", *space, *smooth], ["dim", *space, *smooth], ["dim", *space, *smooth, "--exact"]]
+    for command, *options in argvs:
+        argv = [command, str(path), *options]
+        try:
+            code = main(argv)
+        except Exception as exc:  # any escape is the failure under test
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert code in (0, 1, 2), (argv, code)
+        out = capsys.readouterr().out
+        if code == 1:
+            assert out.count("\n") == 1, (argv, out[:200])
 
 
 def _tmesh_file(tmp_path, name, cells):

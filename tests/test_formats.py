@@ -351,6 +351,15 @@ def test_tsub_errors():
         parse_tsub("tsub 1\ninit 0 0 1 1\nmerge 0 1\n")
 
 
+@pytest.mark.parametrize("rule", ["-5 3", "3 -1", "-1 -1"])
+def test_a_negative_wsplit_rule_is_a_syntax_error(rule):
+    # --weighted and the tmesh smooth directive refuse negatives too.
+    with pytest.raises(TmeshSyntaxError) as info:
+        parse_tsub(f"tsub 1\ninit 0 0 2 2\nsplit 0 v 1\nwsplit 0 h 1 {rule}\n")
+    assert info.value.line == 4
+    assert str(info.value) == "line 4: wsplit rule k, k' must be nonnegative"
+
+
 _SPACE = ((1, 1), (2, 2))
 
 

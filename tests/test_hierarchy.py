@@ -9,6 +9,7 @@ from tsplinedim import formats, hierarchy
 from tsplinedim.errors import CoordinateOnCellBoundary, HistoryMismatch, UnknownCell
 
 from meshgen import (
+    cell_containing,
     ex51_mesh,
     grid3x3_history,
     grid_history,
@@ -46,7 +47,7 @@ def test_split_at_float_coordinate_rejected():
 
 def test_ex51_built_by_one_interior_split():
     strips = t.build_mesh([(0, 0, 1, 1), (1, 0, 2, 1), (2, 0, 3, 1)])
-    middle = strips.cell_containing(F(3, 2), F(1, 2))
+    middle = cell_containing(strips, F(3, 2), F(1, 2))
     out = t.split_cell(strips, None, middle.id, "h", F(1, 2))
     assert out.classification == t.NEW_MIS
     counts = t.stats(out.mesh)
@@ -172,7 +173,7 @@ def test_weighted_split_extends_until_weighted():
     grid, hist = grid3x3_history()
     smooth = t.ConstantSmoothness(1, 1)
     deg = t.Degree(2, 2)
-    center = grid.cell_containing(F(3, 2), F(3, 2))
+    center = cell_containing(grid, F(3, 2), F(3, 2))
     out = t.weighted_split(grid, hist, center.id, "v", F(4, 3), smooth, deg, 3, 3)
     # the hop reaches the boundary before the weight can reach 3
     assert out.classification == t.BOUNDARY_REACHING
@@ -188,9 +189,9 @@ def test_weighted_split_extends_until_weighted():
 def test_weighted_split_boundary_prolongation_needs_no_extension():
     mesh, hist = t.initial_mesh(0, 0, 2, 2)
     mesh = t.split_cell(mesh, hist, 0, "v", 1).mesh
-    left = mesh.cell_containing(F(1, 2), 1)
+    left = cell_containing(mesh, F(1, 2), 1)
     mesh = t.split_cell(mesh, hist, left.id, "h", 1).mesh
-    right = mesh.cell_containing(F(3, 2), 1)
+    right = cell_containing(mesh, F(3, 2), 1)
     events_before = len(hist.events)
     out = t.weighted_split(mesh, hist, right.id, "h", 1, t.ConstantSmoothness(0, 0), (1, 1), 2, 2)
     assert out.classification == t.BOUNDARY_REACHING
@@ -200,7 +201,7 @@ def test_weighted_split_boundary_prolongation_needs_no_extension():
 def test_weighted_split_history_mismatch_leaves_history_unchanged():
     grid, hist = grid3x3_history()
     short = t.SubdivisionHistory(hist.initial, hist.events[:-1])
-    center = grid.cell_containing(F(3, 2), F(3, 2))
+    center = cell_containing(grid, F(3, 2), F(3, 2))
     smooth = t.ConstantSmoothness(1, 1)
     with pytest.raises(HistoryMismatch):
         t.weighted_split(grid, short, center.id, "v", F(4, 3), smooth, t.Degree(2, 2), 3, 3)
@@ -212,7 +213,7 @@ def test_weighted_split_boundary_split_on_mismatched_history_raises():
     # the history must still replay to the mesh it is applied to
     grid, hist = grid3x3_history()
     short = t.SubdivisionHistory(hist.initial, hist.events[:-1])
-    corner = grid.cell_containing(F(1, 2), F(1, 2))
+    corner = cell_containing(grid, F(1, 2), F(1, 2))
     with pytest.raises(HistoryMismatch):
         t.weighted_split(grid, short, corner.id, "v", F(1, 2), (1, 1), (2, 2), 3, 3)
     assert short.events == hist.events[:-1]
@@ -263,12 +264,12 @@ def test_weighted_split_takes_constant_smoothness_only():
     # constant smoothness and binds it to each new mesh itself.
     for smooth in (t.ConstantSmoothness(1, 1), (1, 1)):
         mesh, hist = grid_history(4, 4)
-        cell = mesh.cell_containing(F(3, 2), F(3, 2))
+        cell = cell_containing(mesh, F(3, 2), F(3, 2))
         out = t.weighted_split(mesh, hist, cell.id, "v", F(3, 2), smooth, (2, 2), 3, 3)
         assert out.classification == t.NEW_MIS
         assert sorted(hist.replay().cell_rects()) == sorted(out.mesh.cell_rects())
     mesh, hist = grid_history(4, 4)
-    cell = mesh.cell_containing(F(3, 2), F(3, 2))
+    cell = cell_containing(mesh, F(3, 2), F(3, 2))
     events = list(hist.events)
     dist = t.constant_distribution(mesh, 1, 1)
     with pytest.raises(TypeError):

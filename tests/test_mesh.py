@@ -231,19 +231,37 @@ def test_vertex_classification():
     assert kinds[(F(2), F(1))] == "corner"  # reflex corner of the staircase
 
 
+def _incidence(mesh):
+    """Per vertex, its horizontal and its vertical edge ids in edge-id order,
+    read off each edge's start and end."""
+    h_edges = [[] for _ in mesh.vertices]
+    v_edges = [[] for _ in mesh.vertices]
+    for e in mesh.edges:
+        incident = h_edges if e.horizontal else v_edges
+        incident[e.start].append(e.id)
+        incident[e.end].append(e.id)
+    return h_edges, v_edges
+
+
 def test_incidence_invariants():
     rng = random.Random(42)
     for _ in range(10):
         mesh, _ = random_mesh(rng, rng.randrange(1, 15))
         for e in mesh.edges:
             assert len(e.cells) == (2 if e.interior else 1)
+            a, b = mesh.vertices[e.start].position, mesh.vertices[e.end].position
+            if e.horizontal:
+                assert (a, b) == ((e.lo, e.coord), (e.hi, e.coord))
+            else:
+                assert (a, b) == ((e.coord, e.lo), (e.coord, e.hi))
+        h_edges, v_edges = _incidence(mesh)
         for v in mesh.vertices:
-            assert v.h_edges and v.v_edges
-            if not v.interior:
-                n_boundary = sum(
-                    1 for eid in v.h_edges + v.v_edges if not mesh.edges[eid].interior
-                )
-                assert n_boundary == 2
+            incident = h_edges[v.id] + v_edges[v.id]
+            assert h_edges[v.id] and v_edges[v.id]
+            if v.interior:
+                assert len(incident) == (4 if v.kind == CROSSING else 3)
+            else:
+                assert sum(1 for eid in incident if not mesh.edges[eid].interior) == 2
         for cell in mesh.cells:
             own = [e for e in mesh.edges if cell.id in e.cells]
             for e in own:
@@ -295,8 +313,9 @@ def _record_text(mesh):
         f" {e.coord} {e.lo} {e.hi}"
         for e in mesh.edges
     ]
+    h_edges, v_edges = _incidence(mesh)
     lines += [
-        f"vertex {v.id} {v.x} {v.y} {v.kind} h {_join(v.h_edges)} v {_join(v.v_edges)}"
+        f"vertex {v.id} {v.x} {v.y} {v.kind} h {_join(h_edges[v.id])} v {_join(v_edges[v.id])}"
         for v in mesh.vertices
     ]
     lines.append(f"nodes_x {_join(mesh.nodes_x)}")
@@ -453,6 +472,22 @@ def test_record_coordinates_are_fractions():
         assert fields and {type(v) for v in fields} == {F}
 
 
+def test_records_refuse_assignment_and_stay_hashable():
+    mesh = ex11_mesh()
+    rebuilt = t.build_mesh(list(reversed(EX11_CELLS)))
+    assert Vertex._fields == ("id", "x", "y", "kind")
+    for records, again in ((mesh.cells, rebuilt.cells), (mesh.edges, rebuilt.edges),
+                           (mesh.vertices, rebuilt.vertices)):
+        for record in records:
+            with pytest.raises(AttributeError):
+                record.id = -1
+            with pytest.raises(AttributeError):
+                record.note = "extra"
+        assert [record.id for record in records] == list(range(len(records)))
+        assert hash(records) == hash(again) and set(records) == set(again)
+        assert len(set(records)) == len(records)
+
+
 def _mesh_by_fragments(rects, grid):
     """Reference build: every cell side cut at the corners on its line, the
     fragments keyed by (direction, line, span) in a dict, each fragment's
@@ -544,7 +579,7 @@ def _mesh_by_fragments(rects, grid):
         else:
             anomalies.append(f"interior vertex ({x}, {y}) has degree {degree}")
             kind = T_VERTEX
-        vertices.append(Vertex(vid, x, y, kind, h_list, v_list))
+        vertices.append(Vertex(vid, x, y, kind))
     vertices = tuple(vertices)
     cells = tuple(Cell(ci, *rect) for ci, rect in enumerate(rects))
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import tsplinedim as t
 from tsplinedim.errors import UnknownNode
 
-from meshgen import ex11_mesh, ex51_mesh
+from meshgen import ex11_mesh, ex51_mesh, vertex_at
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ def test_edge_order(staircase):
 
 def test_vertex_orders(staircase):
     dist = t.constant_distribution(staircase, 1, 1)
-    v = staircase.vertices[staircase.vertex_at(2, 2)]
+    v = staircase.vertices[vertex_at(staircase, 2, 2)]
     assert (dist.order("v", v.x), dist.order("h", v.y)) == (1, 1)
     ex12 = ex12_distribution(staircase)
     assert (ex12.order("v", v.x), ex12.order("h", v.y)) == (0, 1)
@@ -99,7 +99,7 @@ def test_quotient_dims(staircase):
     assert t.quotient_dims(dist, deg, vertical) == 2 * 3
     # truncation: orders above the degree saturate
     dist5 = t.constant_distribution(staircase, 5, 1)
-    v = staircase.vertices[staircase.vertex_at(2, 2)]
+    v = staircase.vertices[vertex_at(staircase, 2, 2)]
     assert t.quotient_dims(dist5, deg, v) == 3 * 2
     assert t.quotient_dims(dist5, deg, vertical) == 3 * 3
 

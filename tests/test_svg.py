@@ -1,3 +1,7 @@
+from fractions import Fraction as F
+
+import pytest
+
 import tsplinedim as t
 from tsplinedim.svg import render_svg
 
@@ -28,3 +32,17 @@ def test_svg_deterministic():
     assert render_svg(mesh) == render_svg(mesh)
     rebuilt = t.build_mesh(list(reversed([c.rect for c in mesh.cells])))
     assert render_svg(rebuilt) == render_svg(mesh)
+
+
+@pytest.mark.parametrize("far", [10**400, -(10**400), F(10**800, 3)])
+def test_a_coordinate_beyond_float_range_is_named(far):
+    cells = [(0, 0, far, 1)] if far > 0 else [(far, 0, 0, 1)]
+    with pytest.raises(t.CoordinateOutOfRange) as info:
+        render_svg(t.build_mesh(cells))
+    assert str(info.value) == f"coordinate {far} is beyond float range"
+
+
+def test_a_coordinate_below_float_resolution_draws():
+    tiny = F(1, 10**400)
+    text = render_svg(t.build_mesh([(0, 0, tiny, 1), (tiny, 0, 1, 1)]))
+    assert text.count("<rect") == 2
