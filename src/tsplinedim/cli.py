@@ -226,9 +226,15 @@ def cmd_dim(args, parser):
     if args.dump_matrix:
         _write(args.dump_matrix, oracle.build_spline_system(mesh, dist, degree).dump_triplets(), parser)
     if args.exact:
-        # dim = combinatorial term + h.  The kernel of the cell system,
+        # dim = combinatorial term + h.  When the bounds pin h (a certificate
+        # fired, or the paper's upper bound is 0), h is that value and nothing
+        # is ranked; otherwise h is the rank defect of the segment
+        # presentation, built on lattice ints.  The kernel of the cell system,
         # oracle.spline_dimension_exact, is the reference the tests hold this to.
-        h_value = oracle.h_via_mis_presentation(mesh, dist, degree, analysis)
+        if report.h_lower == report.h_upper:
+            h_value = report.h_lower
+        else:
+            h_value = oracle.h_via_mis_presentation(mesh, dist, degree, analysis)
         dim_value = report.combinatorial + h_value
         certificate = report.certificate
         if certificate == dimension.CERT_NONE:

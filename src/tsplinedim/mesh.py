@@ -356,7 +356,7 @@ def _mesh(rects, grid):
     # its up fragment, gives the edges sorted by their (start, end) vertex
     # ids: the right neighbour v + 1 comes before any vertex on a higher line.
     # The cell below a horizontal fragment sorts before the one above it.
-    # The walk also counts each vertex's edges and boundary edges per
+    # The walk also counts each vertex's edges, and its boundary edges per
     # direction, and lists the cell pairs that share an interior edge.
     xs = [exact[x] for x in point_x]
     ys = [exact[y] for y, _ in points]
@@ -364,7 +364,7 @@ def _mesh(rects, grid):
     edges = []
     edge_line = []
     shared = []
-    h_count, v_count = [0] * count, [0] * count
+    degrees = [0] * count
     h_boundary, v_boundary = [0] * count, [0] * count
     for vid, a, b, position in zip(range(count), below, above, place):
         if a is not None or b is not None:
@@ -379,8 +379,8 @@ def _mesh(rects, grid):
             eid = len(edges)
             edges.append(Edge(eid, vid, end, HORIZONTAL, len(owners) == 2, owners, ys[vid], xs[vid], xs[end]))
             edge_line.append(vertex_yline[vid])
-            h_count[vid] += 1
-            h_count[end] += 1
+            degrees[vid] += 1
+            degrees[end] += 1
         a, b = left[position], right[position]
         if a is not None or b is not None:
             end = up[position]
@@ -394,21 +394,17 @@ def _mesh(rects, grid):
             eid = len(edges)
             edges.append(Edge(eid, vid, end, VERTICAL, len(owners) == 2, owners, xs[vid], ys[vid], ys[end]))
             edge_line.append(vertex_xline[vid])
-            v_count[vid] += 1
-            v_count[end] += 1
+            degrees[vid] += 1
+            degrees[end] += 1
     edges = tuple(edges)
 
     # Classify vertices; incidence anomalies are reported only after the
-    # connectivity and Euler checks, which give more specific errors.
+    # connectivity and Euler checks, which give more specific errors.  Every
+    # vertex is a cell corner, so it has an edge in each direction.
     vertices = []
     anomalies = []
     f0o = 0
-    for vid, x, y, h, v, h_ends, v_ends in zip(
-        range(count), xs, ys, h_count, v_count, h_boundary, v_boundary
-    ):
-        if not h or not v:
-            anomalies.append(f"vertex ({x}, {y}) misses a horizontal or vertical edge")
-        degree = h + v
+    for vid, x, y, degree, h_ends, v_ends in zip(range(count), xs, ys, degrees, h_boundary, v_boundary):
         if h_ends or v_ends:
             if h_ends + v_ends != 2:
                 anomalies.append(f"boundary vertex ({x}, {y}) has {h_ends + v_ends} boundary edges")

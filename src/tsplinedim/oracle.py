@@ -3,11 +3,16 @@
 Everything here assembles constraint matrices over the rationals and reduces
 dimension questions to exact ranks: the spline space itself as the kernel of
 the smoothness-difference map, and the homology defect three independent
-ways.  ``dim --exact`` prints the combinatorial term plus
+ways.  ``dim --exact`` prints the combinatorial term plus h.  When the
+certified bounds already pin h (a certificate fired, or the upper bound is
+0), it prints that value and ranks nothing.  Otherwise it ranks
 ``h_via_mis_presentation``, whose system has one block per interior segment
-and one relation per interior vertex.  The kernel (``spline_dimension_exact``,
-``h_exact``) is the definition of the space: it stays the reference that the
-tests check the other routes and the combinatorial formulas against.
+and one relation per interior vertex, built on lattice ints: h does not
+change under x -> lambda x + mu on each axis, so the node lines of each axis
+are scaled onto the integers from 0.  The kernel (``spline_dimension_exact``,
+``h_exact``) and the vertex ideals (``h_via_h0``) keep the ``Fraction``
+coordinates: the kernel is the definition of the space, and the tests check
+the other routes and the combinatorial formulas against it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from math import comb, lcm
 from .dimension import combinatorial_term
 from .errors import DegreeOutOfRange, DuplicatePoints
 from .linalg import SparseRationalMatrix, rational_rank
-from .mesh import HORIZONTAL, VERTICAL
+from .mesh import HORIZONTAL, VERTICAL, lattice
 from .segments import analyze_segments
 from .smoothness import quotient_dims
 
@@ -145,7 +150,9 @@ def h_via_mis_presentation(mesh, dist, degree, analysis=None):
     One free block per interior segment (polynomials of the complementary
     bidegree) modulo, for every interior vertex on at least one interior
     segment, the cross relation between its horizontal and vertical segment
-    symbols; symbols of boundary-reaching segments are zero.
+    symbols; symbols of boundary-reaching segments are zero.  The relations
+    are built on the lattice ints of the node lines (``_axis_ints``), so the
+    rank sees int rows only.
     """
     m, n = degree
     if analysis is None:
@@ -165,6 +172,7 @@ def h_via_mis_presentation(mesh, dist, degree, analysis=None):
         widths[sid] = shape
         total += shape[0] * shape[1]
 
+    xs, ys = _axis_ints(mesh.nodes_x), _axis_ints(mesh.nodes_y)
     rows = []
     for vid in mesh.interior_vertices:
         v = mesh.vertices[vid]
@@ -179,25 +187,31 @@ def h_via_mis_presentation(mesh, dist, degree, analysis=None):
         qa, qb = m - rh - 1, n - rv - 1
         if qa < 0 or qb < 0:
             continue
+        # [vertical segment] times (t - y)^{rv+1} s^alpha t^beta, minus
+        # [horizontal segment] times (s - x)^{rh+1} s^alpha t^beta.  Each
+        # term is (its column at alpha = beta = 0, the column step per
+        # alpha, its coefficient); the two segments' blocks are disjoint.
+        terms = []
+        if in_v:
+            base, height = offsets[seg_v], widths[seg_v][1]
+            power = _shifted_power(ys[mesh.vertex_yline[vid]], rv + 1)
+            terms += [(base + l, height, c) for l, c in enumerate(power) if c]
+        if in_h:
+            base, height = offsets[seg_h], widths[seg_h][1]
+            power = _shifted_power(xs[mesh.vertex_xline[vid]], rh + 1)
+            terms += [(base + i * height, height, -c) for i, c in enumerate(power) if c]
         for alpha in range(qa + 1):
             for beta in range(qb + 1):
-                row = {}
-                if in_v:
-                    # [vertical segment] times (t - y)^{rv+1} s^alpha t^beta
-                    _, height = widths[seg_v]
-                    for l, c in enumerate(_shifted_power(v.y, rv + 1)):
-                        col = offsets[seg_v] + alpha * height + (beta + l)
-                        row[col] = row.get(col, 0) + c
-                if in_h:
-                    _, height = widths[seg_h]
-                    for i, c in enumerate(_shifted_power(v.x, rh + 1)):
-                        col = offsets[seg_h] + (alpha + i) * height + beta
-                        row[col] = row.get(col, 0) - c
-                row = {c: val for c, val in row.items() if val}
-                if row:
-                    rows.append(row)
+                rows.append({col + alpha * step + beta: c for col, step, c in terms})
 
     return total - rational_rank(rows)
+
+
+def _axis_ints(nodes):
+    """The sorted node lines of one axis as ints from 0, an affine image of
+    them that leaves h unchanged: their lattice, shifted to start at 0."""
+    ints = lattice(nodes)
+    return [v - ints[0] for v in ints]
 
 
 def d1_full_row_rank(mesh, dist, degree):

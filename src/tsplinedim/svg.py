@@ -26,11 +26,23 @@ def _fmt(value):
 def render_svg(mesh):
     """SVG picture: cells, edges (interior vs boundary), highlighted interior
     segments, and vertices marked by kind.  Output is byte-deterministic; a
-    number beyond float range raises CoordinateOutOfRange."""
+    number beyond float range, or two node lines that print alike, raise
+    CoordinateOutOfRange."""
     try:
         return _render(mesh)
     except OverflowError:
         raise CoordinateOutOfRange(f"coordinate {max(mesh.bbox, key=abs)} is beyond float range") from None
+
+
+def _check_apart(axis, lines, printed):
+    """Raise unless the node lines of one axis print distinctly: ``_fmt``
+    keeps 6 significant digits, so lines closer than that would be drawn as
+    one."""
+    seen = {}
+    for line, text in zip(lines, printed):
+        if text in seen:
+            raise CoordinateOutOfRange(f"node lines {axis}={seen[text]} and {axis}={line} both print as {text}")
+        seen[text] = line
 
 
 def _render(mesh):
@@ -41,6 +53,9 @@ def _render(mesh):
 
     def pt(x, y):
         return _fmt(x), _fmt(flip - y)
+
+    _check_apart("x", mesh.nodes_x, map(_fmt, mesh.nodes_x))
+    _check_apart("y", mesh.nodes_y, (_fmt(flip - y) for y in mesh.nodes_y))
 
     vx0, vy0 = _fmt(x0 - margin), _fmt(y0 - margin)
     vw, vh = _fmt(x1 - x0 + 2 * margin), _fmt(y1 - y0 + 2 * margin)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from hypothesis import strategies as st
 
 import tsplinedim as t
-from tsplinedim.hierarchy import SplitEvent
+from tsplinedim.hierarchy import SplitEvent, _split
 
 # Staircase domain with 7 cells: 12 corners, 3 boundary T-vertices, and an
 # interior chain at y=2 carrying two T-vertices and one crossing.  Matches
@@ -180,25 +180,71 @@ def univariate_spline_dim(m, orders):
     return m + 1 + sum(m - min(r, m) for r in orders)
 
 
+def _transposed(rect):
+    x0, y0, x1, y1 = rect
+    return (y0, x0, y1, x1)
+
+
+def _reflected(rect):  # x -> -x
+    x0, y0, x1, y1 = rect
+    return (-x1, y0, -x0, y1)
+
+
+def mapped_history(history, transpose):
+    """The history of the image of the history's mesh under the transposition
+    (x, y) -> (y, x), or else under the reflection x -> -x.
+
+    The canonical cell ids change with the map, so both cell lists are
+    replayed side by side and each split is renamed to its image's id.
+    """
+    image = _transposed if transpose else _reflected
+    rects, images = [history.initial], [image(history.initial)]
+    events = []
+    for event in history.events:
+        if transpose:
+            direction, coord = ("h" if event.direction == "v" else "v"), event.coord
+        else:
+            direction, coord = event.direction, (-event.coord if event.direction == "v" else event.coord)
+        mapped = SplitEvent(images.index(image(rects[event.cell])), direction, coord)
+        _split(rects, event)
+        _split(images, mapped)
+        events.append(mapped)
+    return t.SubdivisionHistory(image(history.initial), events)
+
+
 @st.composite
-def spaces(draw):
+def spaces(draw, with_history=False):
     """(mesh, distribution, degree): a random history, the pinwheel or a
     grid, maybe transposed or reflected, a degree in 1..3 each way and
-    per-line orders 0..degree + 1."""
+    per-line orders 0..degree + 1.
+
+    ``with_history`` appends the mesh's history (a random history's, mapped
+    with it; None for the others) and now and then takes one constant order
+    each way instead."""
     rng = random.Random(draw(st.integers(min_value=0)))
     kind = draw(st.sampled_from(("history", "pinwheel", "grid")))
+    history = None
     if kind == "history":
-        cells = random_history(rng, rng.randrange(40), rng.choice((1, 4)), rng.choice((1, 3)))[1]
+        history, cells = random_history(rng, rng.randrange(40), rng.choice((1, 4)), rng.choice((1, 3)))
     elif kind == "pinwheel":
         cells = PINWHEEL_CELLS
     else:
         cells = grid_cells(rng.randint(1, 7), rng.randint(1, 7))
     if draw(st.booleans()):  # transpose: (x, y) -> (y, x)
-        cells = [(y0, x0, y1, x1) for x0, y0, x1, y1 in cells]
+        cells = [_transposed(rect) for rect in cells]
+        history = history and mapped_history(history, transpose=True)
     if draw(st.booleans()):  # reflect: x -> -x
-        cells = [(-x1, y0, -x0, y1) for x0, y0, x1, y1 in cells]
+        cells = [_reflected(rect) for rect in cells]
+        history = history and mapped_history(history, transpose=False)
     mesh = t.build_mesh(cells)
     degree = m, n = rng.randint(1, 3), rng.randint(1, 3)
-    r_h = {x: rng.randint(0, m + 1) for x in mesh.nodes_x}
-    r_v = {y: rng.randint(0, n + 1) for y in mesh.nodes_y}
-    return mesh, t.SmoothnessDistribution(mesh, r_h, r_v), degree
+    if with_history and draw(st.booleans()):
+        r, rp = rng.randint(0, m + 1), rng.randint(0, n + 1)
+        dist = t.constant_distribution(mesh, r, rp)
+    else:
+        r_h = {x: rng.randint(0, m + 1) for x in mesh.nodes_x}
+        r_v = {y: rng.randint(0, n + 1) for y in mesh.nodes_y}
+        dist = t.SmoothnessDistribution(mesh, r_h, r_v)
+    if with_history:
+        return mesh, dist, degree, history
+    return mesh, dist, degree

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import tsplinedim as t
 from tsplinedim import oracle
 from tsplinedim.cli import main
+from tsplinedim.formats import document_mesh, document_smoothness, parse_tmesh
 
 from meshgen import EX11_CELLS, EX51_CELLS, L_CELLS, PINWHEEL_CELLS, grid_cells
 
@@ -402,9 +403,20 @@ def test_hostile_tmesh_texts_exit_cleanly(name, tmp_path, capsys):
             assert out.count("\n") == 1, (argv, out[:200])
 
 
-def _tmesh_file(tmp_path, name, cells):
+def test_svg_names_node_lines_that_print_alike(tmp_path, capsys):
+    # Every line of the tiny-steps mesh prints as 0: a picture of it would be
+    # empty, so it is refused on one line.
+    path = tmp_path / "tiny-steps.tmesh"
+    path.write_text(f"tmesh 1\n{_HOSTILE_TMESH['tiny-steps']}\n")
+    assert main(["svg", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("CoordinateOutOfRange: node lines x=0 and x=1/1000")
+    assert out.endswith(" both print as 0\n") and out.count("\n") == 1
+
+
+def _tmesh_file(tmp_path, name, cells, tail=""):
     path = tmp_path / f"{name}.tmesh"
-    path.write_text("tmesh 1\n" + "".join(f"cell {a} {b} {c} {d}\n" for a, b, c, d in cells))
+    path.write_text("tmesh 1\n" + "".join(f"cell {a} {b} {c} {d}\n" for a, b, c, d in cells) + tail)
     return str(path)
 
 
@@ -430,6 +442,79 @@ def test_dim_exact_assembles_no_cell_system(ex51_file, monkeypatch, capsys):
     assert main(["dim", ex51_file, "-m", "2", "-n", "2", "--smooth", "1,1", "--exact"]) == 0
     out = capsys.readouterr().out
     assert "dim 15\nh 1\n" in out
+
+
+# Two vertical interior segments under (2,2): x=1 has weight 4, above
+# n + 1 = 3, and x=3 has weight 2, below it, but its order 2 = m makes its
+# share of the bound 0.  Mixed weights give no certificate, yet the paper's
+# upper bound is 0.
+_ZERO_BOUND_CELLS = [(0, 0, 4, F(1, 4)), (0, F(1, 4), 1, 1), (1, F(1, 4), 4, 1),
+                     (0, 1, 3, F(5, 2)), (3, 1, 4, F(5, 2)), (0, F(5, 2), 4, 4)]
+_ZERO_BOUND_SMOOTH = "default-smooth 0 0\nsmooth h 3 2\nsmooth v 5/2 3\n"
+
+
+def _dim_exact(tmp_path, cells, smooth, as_json, capsys):
+    """`dim --exact` at degree (2, 2) on the cells under the smoothness lines:
+    its stdout, and the kernel's dim and h."""
+    path = _tmesh_file(tmp_path, "space", cells, smooth)
+    argv = ["dim", path, "-m", "2", "-n", "2", "--exact"] + (["--json"] if as_json else [])
+    assert main(argv) == 0
+    with open(path, encoding="utf-8") as fh:
+        doc = parse_tmesh(fh.read())
+    mesh = document_mesh(doc)
+    dist = document_smoothness(doc, mesh)
+    dim = oracle.spline_dimension_exact(mesh, dist, (2, 2))
+    return capsys.readouterr().out, dim, dim - t.combinatorial_term(mesh, dist, (2, 2))
+
+
+def _assert_exact_output(out, as_json, certificate, dim, h):
+    if as_json:
+        payload = json.loads(out)
+        assert payload["certificate"] == certificate
+        assert (payload["dim"], payload["h"]) == (dim, h)
+        bounds = [payload[key] for key in ("h_lower", "h_upper", "dim_lower", "dim_upper")]
+        assert bounds == [h, h, dim, dim]
+    else:
+        assert f"h bounds [{h}, {h}] certificate {certificate}\ndim bounds [{dim}, {dim}]\n" in out
+        assert out.endswith(f"dim {dim}\nh {h}\n")
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "cells, smooth, certificate",
+    [
+        (EX11_CELLS, "default-smooth 1 1\n", "no-MIS"),
+        (EX51_CELLS, "default-smooth 0 0\n", "weighted"),
+        (EX51_CELLS, "default-smooth 1 1\n", "small-weights-equality"),
+        (_ZERO_BOUND_CELLS, _ZERO_BOUND_SMOOTH, "oracle"),
+    ],
+    ids=["no-MIS", "weighted", "small-weights", "none-zero-bound"],
+)
+def test_dim_exact_ranks_no_pinned_query(cells, smooth, certificate, as_json, tmp_path, monkeypatch, capsys):
+    # A certificate, or an upper bound of 0, pins h: nothing is ranked.  A
+    # `none` certificate still reads `oracle`, as when the query was ranked.
+    def refuse(*args):
+        raise AssertionError("dim --exact ranked a pinned query")
+
+    monkeypatch.setattr(oracle, "h_via_mis_presentation", refuse)
+    out, dim, h = _dim_exact(tmp_path, cells, smooth, as_json, capsys)
+    _assert_exact_output(out, as_json, certificate, dim, h)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_dim_exact_ranks_an_open_query(as_json, tmp_path, monkeypatch, capsys):
+    # The pinwheel under (2,2) C0: certificate `none`, bounds [0, 4].
+    ranked = []
+    rank = oracle.h_via_mis_presentation
+
+    def counting(*args):
+        ranked.append(args)
+        return rank(*args)
+
+    monkeypatch.setattr(oracle, "h_via_mis_presentation", counting)
+    out, dim, h = _dim_exact(tmp_path, PINWHEEL_CELLS, "default-smooth 0 0\n", as_json, capsys)
+    assert len(ranked) == 1
+    _assert_exact_output(out, as_json, "oracle", dim, h)
 
 
 # Three full-height strips; the wsplit in the middle strip makes a segment of

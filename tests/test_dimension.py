@@ -335,6 +335,19 @@ def test_certificate_soundness_against_oracle():
             assert t.h_exact(mesh, dist, (m, n)) == cert.h
 
 
+@settings(max_examples=300, deadline=None)
+@given(spaces(with_history=True), st.sampled_from(("auto", "search")), st.booleans())
+def test_pinned_defects_are_the_defect(space, policy, use_history):
+    # `dim --exact` prints a pinned h without ranking, so every pin must be
+    # the rank defect of the presentation, and on small meshes the kernel's.
+    mesh, dist, degree, history = space
+    report = t.dimension_bounds(mesh, dist, degree, policy, history if use_history else None)
+    if report.h_lower == report.h_upper:
+        assert report.h_lower == t.h_via_mis_presentation(mesh, dist, degree)
+        if len(mesh.cells) <= 16:
+            assert report.h_lower == t.h_exact(mesh, dist, degree)
+
+
 _SCALES = (F(1, 3), F(3, 7), F(1), F(7, 5), F(5))
 _SHIFTS = (F(-7, 3), F(-1, 2), F(0), F(3), F(11, 7))
 

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 import tsplinedim as t
+from tsplinedim import oracle
 from tsplinedim.errors import DegreeOutOfRange, DuplicatePoints
-from tsplinedim.linalg import SparseRationalMatrix
+from tsplinedim.linalg import SparseRationalMatrix, rational_rank
+from tsplinedim.mesh import HORIZONTAL, VERTICAL
 
 from meshgen import (
     PINWHEEL_CELLS,
@@ -17,6 +19,7 @@ from meshgen import (
     pinwheel_mesh,
     random_history,
     random_mesh,
+    spaces,
     subdivide_center_3x3,
     univariate_spline_dim,
 )
@@ -241,3 +244,105 @@ def test_exact_routes_agree_on_large_meshes(family, seed):
     assert _exact_dimension(transposed, (n, m), r_v, r_h) == (dim, dim)
     reflected = [(-x1, y0, -x0, y1) for x0, y0, x1, y1 in cells]
     assert _exact_dimension(reflected, degree, {-x: r for x, r in r_h.items()}, r_v) == (dim, dim)
+
+
+def _mis_presentation_by_fractions(mesh, dist, degree):
+    """Reference for ``h_via_mis_presentation``: the same presentation with
+    its relations built on the ``Fraction`` coordinates, each vertex's shifted
+    powers taken again for every (alpha, beta)."""
+    m, n = degree
+    analysis = t.analyze_segments(mesh)
+    offsets = {}
+    widths = {}
+    total = 0
+    for sid in analysis.mis:
+        seg = analysis.segments[sid]
+        r = dist.order(seg.direction, seg.coord)
+        shape = (m + 1, max(0, n - r)) if seg.horizontal else (max(0, m - r), n + 1)
+        offsets[sid] = total
+        widths[sid] = shape
+        total += shape[0] * shape[1]
+    rows = []
+    for vid in mesh.interior_vertices:
+        v = mesh.vertices[vid]
+        seg_h = analysis.segment_through(vid, "h")
+        seg_v = analysis.segment_through(vid, "v")
+        in_h, in_v = seg_h in offsets, seg_v in offsets
+        if not (in_h or in_v):
+            continue
+        rh = dist.order(VERTICAL, v.x)
+        rv = dist.order(HORIZONTAL, v.y)
+        for alpha in range(m - rh):
+            for beta in range(n - rv):
+                row = {}
+                if in_v:
+                    _, height = widths[seg_v]
+                    for l, c in enumerate(oracle._shifted_power(v.y, rv + 1)):
+                        col = offsets[seg_v] + alpha * height + (beta + l)
+                        row[col] = row.get(col, 0) + c
+                if in_h:
+                    _, height = widths[seg_h]
+                    for i, c in enumerate(oracle._shifted_power(v.x, rh + 1)):
+                        col = offsets[seg_h] + (alpha + i) * height + beta
+                        row[col] = row.get(col, 0) - c
+                row = {c: val for c, val in row.items() if val}
+                if row:
+                    rows.append(row)
+    return total - rational_rank(rows)
+
+
+# x -> scale * x + shift on one axis: non-dyadic scales, and the scales of
+# the big-grid and tiny-steps texts of the command-line tests.
+_AXIS_MAPS = [
+    (F(1), F(0)),
+    (F(1, 3), F(-7, 3)),
+    (F(3, 7), F(1, 2)),
+    (F(7, 5), F(11, 7)),
+    (F(10**400), F(0)),
+    (F(1, 10**400), F(3)),
+]
+
+
+def _mapped_space(mesh, dist, x_map, y_map):
+    """The space on the image of the mesh under the two axis maps, each line
+    keeping its order."""
+    (ax, bx), (ay, by) = x_map, y_map
+    image = t.build_mesh(
+        [(ax * x0 + bx, ay * y0 + by, ax * x1 + bx, ay * y1 + by) for x0, y0, x1, y1 in mesh.cell_rects()]
+    )
+    r_h = {ax * x + bx: dist.order(VERTICAL, x) for x in mesh.nodes_x}
+    r_v = {ay * y + by: dist.order(HORIZONTAL, y) for y in mesh.nodes_y}
+    return image, t.SmoothnessDistribution(image, r_h, r_v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces(), st.sampled_from(_AXIS_MAPS), st.sampled_from(_AXIS_MAPS))
+def test_the_int_presentation_matches_the_fraction_presentation(space, x_map, y_map):
+    mesh, dist, degree = space
+    image, image_dist = _mapped_space(mesh, dist, x_map, y_map)
+    h = _mis_presentation_by_fractions(image, image_dist, degree)
+    assert t.h_via_mis_presentation(image, image_dist, degree) == h
+    assert _mis_presentation_by_fractions(mesh, dist, degree) == h
+
+
+def test_the_presentation_ranks_int_rows_only(monkeypatch):
+    ranked = []
+
+    def int_rows_only(rows):
+        rows = list(rows)
+        assert all(type(value) is int for row in rows for value in row.values())
+        ranked.append(len(rows))
+        return rational_rank(rows)
+
+    monkeypatch.setattr(oracle, "rational_rank", int_rows_only)
+    rng = random.Random(31)
+    for x_map, y_map in zip(_AXIS_MAPS, reversed(_AXIS_MAPS)):
+        for cells in (PINWHEEL_CELLS, ex19()[0].cell_rects(), random_history(rng, 30)[1]):
+            mesh = t.build_mesh(cells)
+            dist = t.SmoothnessDistribution(
+                mesh, {x: rng.randint(0, 2) for x in mesh.nodes_x}, {y: rng.randint(0, 2) for y in mesh.nodes_y}
+            )
+            image, image_dist = _mapped_space(mesh, dist, x_map, y_map)
+            h = t.h_via_mis_presentation(image, image_dist, (3, 3))
+            assert h == _mis_presentation_by_fractions(image, image_dist, (3, 3))
+    assert len(ranked) == 18 and min(ranked) > 0
