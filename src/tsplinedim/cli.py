@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 validation/domain failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -117,9 +116,9 @@ def _counts_dict(mesh):
     """The face counts, then euler, then the identity checks, in field order."""
     counts = mesh_stats(mesh)
     return {
-        **dataclasses.asdict(counts),
+        **counts._asdict(),
         "euler": counts.euler,
-        "identities": dataclasses.asdict(check_counting_identities(mesh)),
+        "identities": check_counting_identities(mesh)._asdict(),
     }
 
 
@@ -239,8 +238,7 @@ def cmd_dim(args, parser):
         certificate = report.certificate
         if certificate == dimension.CERT_NONE:
             certificate = dimension.CERT_ORACLE
-        report = dataclasses.replace(
-            report,
+        report = report._replace(
             h_lower=h_value,
             h_upper=h_value,
             dim_lower=dim_value,

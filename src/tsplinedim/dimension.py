@@ -3,7 +3,7 @@ dimension counts, defect bounds, exactness certificates and the final report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegreeOutOfRange, DuplicatePoints
 from .hierarchy import appearance_ordering
@@ -71,15 +71,13 @@ def combinatorial_term(mesh, dist, degree):
     return total
 
 
-@dataclass(frozen=True)
-class SegmentContribution:
+class SegmentContribution(NamedTuple):
     segment: int
     weight: int
     contribution: int
 
 
-@dataclass(frozen=True)
-class DefectBound:
+class DefectBound(NamedTuple):
     total: int
     per_segment: tuple[SegmentContribution, ...]
 
@@ -174,8 +172,7 @@ def search_ordering(analysis, dist, degree):
     return Ordering({sid: rank for rank, sid in enumerate(order, 1)}, "search")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     name: str
     h: int | None  # exact defect when the certificate pins it
 
@@ -213,8 +210,7 @@ def _certificate(analysis, dist, degree, bound, history):
     return Certificate(CERT_NONE, None)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     combinatorial: int
     h_lower: int
     h_upper: int

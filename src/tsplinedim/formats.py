@@ -7,7 +7,7 @@ round-trip losslessly; ``#`` starts a comment anywhere on a line.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadRational, MeshError, TmeshSyntaxError, UnknownDirective, UnknownNode
 from .hierarchy import SplitEvent, SubdivisionHistory, weighted_split
@@ -57,19 +57,20 @@ def _significant_lines(text):
             yield number, line.split()
 
 
-@dataclass(frozen=True)
-class MeshDocument:
-    """Parsed tmesh file: cells plus optional smoothness declarations."""
-
+class _DocumentFields(NamedTuple):
     cells: tuple
     default_smooth: tuple[int, int] | None = None
     smooth_h: tuple = ()
     smooth_v: tuple = ()
 
-    # Not a field: ``make`` and ``parse_tmesh`` set it to the cells on their
-    # integer lattice (see ``mesh.to_lattice``), which they sort on, so that
-    # ``document_mesh`` scales them no second time.  A document built or
-    # replaced otherwise has none.
+
+class MeshDocument(_DocumentFields):
+    """Parsed tmesh file: cells plus optional smoothness declarations."""
+
+    # Not a field, neither compared nor shown: ``make`` and ``parse_tmesh``
+    # set it to the cells on their integer lattice (``mesh.to_lattice``), so
+    # that ``document_mesh`` scales them no second time.  A document built
+    # or replaced otherwise has none.
     _grid = None
 
     @staticmethod
@@ -96,7 +97,7 @@ class MeshDocument:
         keyed = sorted(zip(grid, cells), key=operator.itemgetter(0))
         cells = tuple(cell for _, cell in keyed)
         doc = MeshDocument(cells, default_smooth, tuple(sorted(smooth_h)), tuple(sorted(smooth_v)))
-        object.__setattr__(doc, "_grid", tuple(ints for ints, _ in keyed))
+        doc._grid = tuple(ints for ints, _ in keyed)
         return doc
 
 
@@ -265,8 +266,8 @@ def parse_tsub(text):
 
 
 def format_tsub(history):
-    """Write a history as elementary split lines (weighted splits are stored
-    already expanded, so the file replays without rule parameters)."""
+    """Write a history as split lines; an event with a rule (a parsed
+    ``wsplit`` line) as a ``wsplit`` line.  Expanded histories have none."""
     x0, y0, x1, y1 = history.initial
     out = [
         "tsub 1",
@@ -274,7 +275,8 @@ def format_tsub(history):
         f" {format_rational(x1)} {format_rational(y1)}",
     ]
     for ev in history.events:
-        out.append(f"split {ev.cell} {ev.direction} {format_rational(ev.coord)}")
+        line = f"{ev.cell} {ev.direction} {format_rational(ev.coord)}"
+        out.append(f"split {line}" if ev.rule is None else f"wsplit {line} {ev.rule[0]} {ev.rule[1]}")
     return "\n".join(out) + "\n"
 
 

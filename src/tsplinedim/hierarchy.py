@@ -9,8 +9,8 @@ are read off those spans, so a mesh is built only to be returned or weighed.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CoordinateOnCellBoundary, HistoryMismatch, UnknownCell
 from .mesh import HORIZONTAL, VERTICAL, _check_cells, as_fraction, build_mesh
@@ -22,25 +22,35 @@ EXTENDED_MIS = "extended-MIS"
 BOUNDARY_REACHING = "boundary-reaching"
 
 
-@dataclass(frozen=True)
-class SplitEvent:
+class SplitEvent(NamedTuple):
     cell: int  # canonical cell id in the mesh state just before the event
     direction: str  # direction of the inserted edge: "h" or "v"
     coord: Fraction
     rule: tuple[int, int] | None = None  # (k, k') of a parsed wsplit line
 
 
-@dataclass
 class SubdivisionHistory:
     """Initial rectangle plus an ordered list of elementary splits.
 
     Replaying the events from the initial rectangle reproduces the mesh
     exactly; weighted splits record their extension hops as further
-    elementary events, so replay never needs the rule parameters.
+    elementary events, so replay never needs the rule parameters.  The one
+    mutable record: splits append to ``events``, one list per history.
     """
 
-    initial: tuple[Fraction, Fraction, Fraction, Fraction]
-    events: list[SplitEvent] = field(default_factory=list)
+    __slots__ = ("initial", "events")
+
+    def __init__(self, initial, events=None):
+        self.initial: tuple[Fraction, Fraction, Fraction, Fraction] = initial
+        self.events: list[SplitEvent] = [] if events is None else events
+
+    def __eq__(self, other):
+        if type(other) is not SubdivisionHistory:
+            return NotImplemented
+        return (self.initial, self.events) == (other.initial, other.events)
+
+    def __repr__(self):
+        return f"SubdivisionHistory(initial={self.initial!r}, events={self.events!r})"
 
     def copy(self):
         return SubdivisionHistory(self.initial, list(self.events))
@@ -49,8 +59,7 @@ class SubdivisionHistory:
         return build_mesh(_Replay(self).rects)
 
 
-@dataclass(frozen=True)
-class SplitOutcome:
+class SplitOutcome(NamedTuple):
     mesh: object
     segment: object  # maximal segment of .mesh containing the new edge
     classification: str

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -113,8 +112,7 @@ class Cell(NamedTuple):
         return (self.x0, self.y0, self.x1, self.y1)
 
 
-@dataclass(frozen=True)
-class FaceCounts:
+class FaceCounts(NamedTuple):
     f2: int
     f1: int
     f1o: int
@@ -132,8 +130,7 @@ class FaceCounts:
         return self.f2 - self.f1o + self.f0o
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of the counting-identity checks.
 
     ``nbf_*`` entries are None when the domain is not a rectangle with four

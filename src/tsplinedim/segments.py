@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DanglingGeometry
 from .mesh import HORIZONTAL, VERTICAL
 
 
-@dataclass(frozen=True)
-class MaxSegment:
+class MaxSegment(NamedTuple):
     """Maximal run of collinear, connected interior edges."""
 
     id: int
@@ -117,15 +116,14 @@ def blocking(analysis):
     return tuple(sorted(pairs))
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(NamedTuple):
     """Injective ranking of the interior segments.
 
     source is "appearance" (from a subdivision history), "topological"
     (blocking order) or "canonical" (fallback when blocking has a cycle).
     """
 
-    index: dict[int, int] = field(default_factory=dict)
+    index: dict[int, int]
     source: str = "topological"
 
 
@@ -157,8 +155,7 @@ def default_ordering(analysis):
     return Ordering({sid: i + 1 for i, sid in enumerate(order)}, "topological")
 
 
-@dataclass(frozen=True)
-class SegmentWeight:
+class SegmentWeight(NamedTuple):
     vertices: tuple[int, ...]  # counted vertices: not on any later interior segment
     count: int
     weight: int

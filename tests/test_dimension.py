@@ -225,6 +225,29 @@ def test_hierarchical_degree_certificate():
     assert t.h_exact(mesh, dist, (3, 3)) == 0
 
 
+def test_hierarchical_degree_certificate_fires_on_mixed_weights():
+    # With m >= 2r + 1 and n >= 2r' + 1 a hierarchical mesh has defect 0.
+    # Under the canonical ordering some weights fall below (m + 1, n + 1)
+    # and some exceed it, so only the history certifies h = 0.
+    rng = random.Random(8)
+    found = 0
+    for _ in range(12):
+        history, rects = random_history(rng, 10)
+        mesh = t.build_mesh(rects)
+        a = t.analyze_segments(mesh)
+        dist = t.constant_distribution(mesh, 1, 1)
+        canonical = t.Ordering({sid: i + 1 for i, sid in enumerate(sorted(a.mis))}, "canonical")
+        excess = [p.weight - 4 for p in t.h_upper_bound(a, dist, (3, 3), canonical).per_segment]
+        if not (min(excess, default=0) < 0 < max(excess, default=0)):
+            continue
+        found += 1
+        cert = t.exactness_certificate(a, dist, (3, 3), canonical, history)
+        assert cert == t.dimension.Certificate(t.CERT_HIERARCHICAL, 0)
+        assert t.exactness_certificate(a, dist, (3, 3), canonical).name == t.CERT_NONE
+        assert t.h_via_mis_presentation(mesh, dist, (3, 3)) == 0
+    assert found >= 2
+
+
 def test_dimension_bounds_reports():
     m51 = ex51_mesh()
     dist = t.constant_distribution(m51, 1, 1)

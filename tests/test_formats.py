@@ -127,13 +127,48 @@ def test_tmesh_roundtrip_property(cells, default_smooth, smooth_h, smooth_v):
 @given(
     _rectangles(),
     st.lists(
-        st.builds(t.SplitEvent, st.integers(min_value=0, max_value=40), st.sampled_from("hv"), _RATIONALS),
+        st.builds(
+            t.SplitEvent,
+            st.integers(min_value=0, max_value=40),
+            st.sampled_from("hv"),
+            _RATIONALS,
+            rule=st.none() | st.tuples(_ORDERS, _ORDERS),
+        ),
         max_size=8,
     ),
 )
 def test_tsub_roundtrip_property(initial, events):
     history = t.SubdivisionHistory(initial, events)
     assert parse_tsub(format_tsub(history)) == history
+
+
+def test_a_wsplit_line_keeps_its_rule():
+    text = "tsub 1\ninit 0 0 4 4\nsplit 0 h 1\nwsplit 1 v 2 3 3\n"
+    assert format_tsub(parse_tsub(text)) == text
+
+
+def test_a_document_equals_the_document_of_its_fields(monkeypatch):
+    # The lattice a parsed document carries is not a field: it is neither
+    # compared nor shown, and both documents build the same mesh.
+    doc = parse_tmesh(EX51_TEXT + "smooth h 2 0\nsmooth v 1/2 0\n")
+    plain = MeshDocument(doc.cells, doc.default_smooth, doc.smooth_h, doc.smooth_v)
+    assert doc._grid is not None and plain._grid is None
+    assert doc == plain and repr(doc) == repr(plain)
+    assert MeshDocument(doc.cells) == doc._replace(default_smooth=None, smooth_h=(), smooth_v=())
+    mesh = document_mesh(plain)
+    # The parsed document builds on its own lattice, not through build_mesh.
+    monkeypatch.setattr(formats, "build_mesh", None)
+    built = document_mesh(doc)
+    assert (built.cells, built.edges, built.vertices) == (mesh.cells, mesh.edges, mesh.vertices)
+
+
+def test_histories_never_share_an_event_list():
+    first, second = t.SubdivisionHistory((0, 0, 1, 1)), t.SubdivisionHistory((0, 0, 1, 1))
+    first.events.append(t.SplitEvent(0, "v", F(1, 2)))
+    assert second.events == [] and first != second
+    copy = first.copy()
+    copy.events.append(t.SplitEvent(0, "h", F(1, 2)))
+    assert len(first.events) == 1 and copy != first
 
 
 _FUZZ_DIRECTIVES = ("cell", "smooth", "default-smooth", "init", "split", "wsplit", "bogus", "#")

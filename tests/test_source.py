@@ -1,6 +1,8 @@
 """Source-level rules for the package."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import tsplinedim
@@ -81,3 +83,18 @@ def test_segments_imports_only_errors_and_mesh():
         elif isinstance(node, ast.Import):
             found += [f"segments.py:{node.lineno} {a.name}" for a in node.names if a.name.startswith("tsplinedim")]
     assert found == []
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # The console script imports tsplinedim.cli in a new process on every
+    # call; dataclasses and the inspect machinery it pulls in would be over
+    # half of that import.
+    code = (
+        "import sys, tsplinedim.cli; "
+        "print(sorted(name for name in ('dataclasses', 'inspect') if name in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code],
+        cwd=PACKAGE.parent, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
