@@ -4,12 +4,16 @@ ordering of interior segments, and the weighted subdivision rule.
 A history replays on its cell list, recording the span of every inserted
 edge on its line; the appearance ordering and the isolated-segment count
 are read off those spans, so a mesh is built only to be returned or weighed.
+A history keeps its replay and extends it by the events appended since, so
+each event is split once however often the history is replayed, ordered or
+weighed.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from operator import is_
 from typing import NamedTuple
 
 from .errors import CoordinateOnCellBoundary, HistoryMismatch, UnknownCell
@@ -36,13 +40,22 @@ class SubdivisionHistory:
     exactly; weighted splits record their extension hops as further
     elementary events, so replay never needs the rule parameters.  The one
     mutable record: splits append to ``events``, one list per history.
+
+    The history keeps the replay of its events and splits only the events
+    appended since.  The replay starts over from ``initial`` when the events
+    it split are no longer the first of ``events``, object for object (an
+    event was replaced or removed, or the weighted rule raised after its own
+    splits), when ``initial`` holds other objects, and for each ``copy()``.
+    Since even a replay or an ordering may extend the kept replay, a history
+    is not to be shared between threads.
     """
 
-    __slots__ = ("initial", "events")
+    __slots__ = ("initial", "events", "_kept")
 
     def __init__(self, initial, events=None):
         self.initial: tuple[Fraction, Fraction, Fraction, Fraction] = initial
         self.events: list[SplitEvent] = [] if events is None else events
+        self._kept = None
 
     def __eq__(self, other):
         if type(other) is not SubdivisionHistory:
@@ -56,7 +69,23 @@ class SubdivisionHistory:
         return SubdivisionHistory(self.initial, list(self.events))
 
     def replay(self):
-        return build_mesh(_Replay(self).rects)
+        return build_mesh(self._replayed().rects)
+
+    def _replayed(self):
+        """The kept replay, extended by the events appended since it ran, or
+        a new one when its initial rectangle or events are no longer these."""
+        state = self._kept
+        stale = state is None or not _same(state.initial, self.initial)
+        if stale or not _same(state.events, self.events[: len(state.events)]):
+            state = self._kept = _Replay(self.initial)
+        for event in self.events[len(state.events):]:
+            state.split(event)
+        return state
+
+
+def _same(a, b):
+    """Whether a and b hold the very same objects."""
+    return len(a) == len(b) and all(map(is_, a, b))
 
 
 class SplitOutcome(NamedTuple):
@@ -116,25 +145,26 @@ def _outcome(rects, direction, coord, lo, hi, inserted):
 
 
 class _Replay:
-    """A history replayed on its cell list.
+    """An initial rectangle and the events split on its cell list so far.
 
-    Keeps the cells sorted by (y0, x0), an index being the canonical cell id,
-    and for each line (direction, coord) the (lo, hi, event index) of every
-    edge inserted on it, in event order.  No mesh is built: the initial
+    Keeps the initial rectangle as given, the events in split order, the
+    cells sorted by (y0, x0), an index being the canonical cell id, and for
+    each line (direction, coord) the (lo, hi, event index) of every edge
+    inserted on it, in event order.  No mesh is built: the initial
     rectangle is validated as build_mesh validates a cell, with its errors.
     """
 
-    def __init__(self, history):
-        self.rects = [tuple(map(as_fraction, history.initial))]
+    def __init__(self, initial):
+        self.initial = tuple(initial)
+        self.rects = [tuple(map(as_fraction, self.initial))]
         _check_cells(self.rects, self.rects)
         self.lines = {}
-        for event in history.events:
-            self.split(event)
+        self.events = []
 
     def split(self, event):
         coord, lo, hi = _split(self.rects, event)
-        # Every split adds one cell, so the event index is the cell count - 2.
-        self.lines.setdefault((event.direction, coord), []).append((lo, hi, len(self.rects) - 2))
+        self.lines.setdefault((event.direction, coord), []).append((lo, hi, len(self.events)))
+        self.events.append(event)
         return coord, lo, hi
 
     def check(self, mesh):
@@ -205,7 +235,7 @@ def weighted_split(mesh, history, cell_id, direction, coord, smoothness, degree,
         raise ValueError("the weighted rule needs a history for the appearance ordering")
     r, rp = smoothness
     events = [SplitEvent(cell_id, direction, as_fraction(coord))]
-    state = _Replay(history)
+    state = history._replayed()
     state.check(mesh)
     threshold = k if direction == HORIZONTAL else kp
     inserted = 0
@@ -233,7 +263,7 @@ def appearance_ordering(history, analysis):
     Raises HistoryMismatch when the history does not replay to the analyzed
     mesh or a segment cannot be matched to a replay record.
     """
-    return _Replay(history).ordering(analysis)
+    return history._replayed().ordering(analysis)
 
 
 def new_isolated_segment_count(history):
@@ -250,6 +280,6 @@ def new_isolated_segment_count(history):
     across = {VERTICAL: (y0, y1), HORIZONTAL: (x0, x1)}
     return sum(
         across[d][0] < lo and hi < across[d][1] and all(b != lo and a != hi for a, b, _ in spans[:i])
-        for (d, _), spans in _Replay(history).lines.items()
+        for (d, _), spans in history._replayed().lines.items()
         for i, (lo, hi, _) in enumerate(spans)
     )

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import tsplinedim as t
 from tsplinedim import formats, hierarchy
-from tsplinedim.errors import CoordinateOnCellBoundary, HistoryMismatch, UnknownCell
+from tsplinedim.errors import CoordinateOnCellBoundary, HistoryMismatch, MeshError, UnknownCell
 
 from meshgen import (
     cell_containing,
@@ -219,19 +220,39 @@ def test_weighted_split_boundary_split_on_mismatched_history_raises():
     assert short.events == hist.events[:-1]
 
 
+def _wsplit_lines(rng, n_lines):
+    """(lines, expanded): n_lines wsplit events under the (3, 3) rule, each
+    through the middle of a random cell of the mesh the rule left, and the
+    elementary history the rule expands them to."""
+    mesh, expanded = t.initial_mesh(0, 0, 8, 8)
+    lines = t.SubdivisionHistory(expanded.initial)
+    for _ in range(n_lines):
+        cell = rng.choice(mesh.cells)
+        direction = rng.choice("hv")
+        coord = (cell.y0 + cell.y1) / 2 if direction == "h" else (cell.x0 + cell.x1) / 2
+        lines.events.append(t.SplitEvent(cell.id, direction, coord, (3, 3)))
+        mesh = t.weighted_split(mesh, expanded, cell.id, direction, coord, (1, 1), (2, 2), 3, 3).mesh
+    return lines, expanded
+
+
 def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
     """A history replays on its cell list: whatever its length, only the
-    meshes that are returned or weighed are built."""
+    meshes that are returned or weighed are built.  It keeps its replay, so
+    each event is split once however often the history is replayed."""
     real_build, real_analyze = hierarchy.build_mesh, hierarchy.analyze_segments
-    built, analysed = [], []
+    real_split = hierarchy._split
+    built, analysed, split = [], [], []
     for module in (hierarchy, formats):
         monkeypatch.setattr(module, "build_mesh", lambda rects: built.append(rects) or real_build(rects))
     monkeypatch.setattr(hierarchy, "analyze_segments", lambda mesh: analysed.append(mesh) or real_analyze(mesh))
+    monkeypatch.setattr(hierarchy, "_split", lambda rects, event: split.append(event) or real_split(rects, event))
 
-    def builds(call):
+    def run(call):
+        """(meshes built, cells split) by the call."""
         built.clear()
+        split.clear()
         call()
-        return len(built)
+        return len(built), len(split)
 
     hops = 0
     for n_splits in (0, 4, 30):
@@ -239,23 +260,155 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
         history, rects = random_history(rng, n_splits)
         mesh = t.build_mesh(rects)
         analysis = t.analyze_segments(mesh)
-        assert builds(lambda: t.appearance_ordering(history, analysis)) == 0
-        assert builds(lambda: t.new_isolated_segment_count(history)) == 0
-        assert builds(history.replay) == 1
+        assert run(history.replay) == (1, n_splits)
+        assert run(lambda: t.appearance_ordering(history, analysis)) == (0, 0)
+        assert run(lambda: t.new_isolated_segment_count(history)) == (0, 0)
+        assert run(history.replay) == (1, 0)
         analysed.clear()
-        assert builds(lambda: t.apply_history(history)) == 1
+        assert run(lambda: t.apply_history(history)) == (1, n_splits)
         assert analysed == []
         cell = mesh.cells[-1]
-        assert builds(lambda: t.split_cell(mesh, None, cell.id, "h", (cell.y0 + cell.y1) / 2)) == 1
+        assert run(lambda: t.split_cell(mesh, None, cell.id, "h", (cell.y0 + cell.y1) / 2)) == (1, 1)
         for cell in mesh.cells[:8]:
             trial = history.copy()
-            count = builds(lambda: t.weighted_split(
+            count = run(lambda: t.weighted_split(
                 mesh, trial, cell.id, "v", (cell.x0 + cell.x1) / 2, (1, 1), (2, 2), 3, 3
             ))
             appended = len(trial.events) - len(history.events)
-            assert count == appended
+            assert count == (appended, n_splits + appended)  # a copy replays anew
+            assert run(lambda: t.new_isolated_segment_count(trial)) == (0, 0)
             hops += appended - 1
     assert hops > 0  # extension hops are counted too
+
+    lines, expanded = _wsplit_lines(random.Random(1), 12)
+    assert len(expanded.events) > len(lines.events)
+    built.clear()
+    split.clear()
+    mesh, applied = t.apply_history(lines, (1, 1), (2, 2))
+    assert applied == expanded
+    # one mesh per event, and the initial one that the first wsplit weighs
+    assert (len(built), len(split)) == (len(expanded.events) + 1, len(expanded.events))
+    analysis = t.analyze_segments(mesh)
+    assert run(lambda: t.appearance_ordering(applied, analysis)) == (0, 0)
+    assert run(lambda: t.new_isolated_segment_count(applied)) == (0, 0)
+    assert run(applied.replay) == (1, 0)
+
+
+def _fresh(history):
+    """Reference: a new replay of the history's initial rectangle and all
+    its events."""
+    state = hierarchy._Replay(history.initial)
+    for event in history.events:
+        state.split(event)
+    return state
+
+
+def _results(history, calls, pick):
+    """What each call gives on history, in order; an error is a result too.
+
+    A weighing or ordering call gets its mesh from a fresh replay, so the
+    first call on history is the one that meets its kept replay."""
+    results = []
+    for call in calls:
+        try:
+            if call == "replay":
+                value = history.replay().cell_rects()
+            elif call == "isolated":
+                value = t.new_isolated_segment_count(history)
+            elif call == "ordering":
+                analysis = t.analyze_segments(t.build_mesh(_fresh(history).rects))
+                value = t.appearance_ordering(history, analysis)
+            else:
+                mesh = t.build_mesh(_fresh(history).rects)
+                cell = mesh.cells[pick % len(mesh.cells)]
+                x = (cell.x0 + cell.x1) / 2
+                out = t.weighted_split(mesh, history, cell.id, "v", x, (1, 1), (2, 2), 3, 3)
+                value = (out.mesh.cell_rects(), out.classification, list(history.events))
+        except MeshError as exc:  # the fresh route must raise alike
+            value = (type(exc), str(exc))
+        results.append((call, value))
+    return results
+
+
+_CHANGES = (
+    "replace", "truncate", "reassign-events", "reassign-initial", "copy",
+    "on-boundary", "mismatch", "raise-mid-rule",
+)
+
+
+@pytest.mark.parametrize("change", _CHANGES)
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=1, max_value=12),
+    st.permutations(("replay", "isolated", "ordering", "weighted")),
+    st.integers(min_value=0),
+)
+def test_kept_replay_matches_a_fresh_replay(change, seed, n_splits, calls, pick):
+    """After any change to a history whose replay is kept, the next calls
+    give what a new history of the same initial rectangle and events gives,
+    and the kept replay equals a fresh one."""
+    history, _ = random_history(random.Random(seed), n_splits)
+    events, initial = list(history.events), history.initial
+    mesh = history.replay()
+    cell = mesh.cells[pick % len(mesh.cells)]
+    if change == "replace":
+        event = history.events[pick % n_splits]
+        x0, _, x1, _ = _fresh(t.SubdivisionHistory(initial, events[:pick % n_splits])).rects[event.cell]
+        history.events[pick % n_splits] = t.SplitEvent(event.cell, "v", (x0 + 3 * x1) / 4)
+    elif change == "truncate":
+        del history.events[pick % n_splits:]
+    elif change == "reassign-events":
+        history.events = random_history(random.Random(seed + 1), pick % 12)[0].events
+    elif change == "reassign-initial":
+        history.initial = (initial[0], initial[1], initial[2] + 1, initial[3] + 1)
+    elif change == "copy":
+        original, history = history, history.copy()
+        history.events.append(t.SplitEvent(cell.id, "h", (cell.y0 + cell.y1) / 2))
+    else:
+        weighed, x, smooth = mesh, (cell.x0 + cell.x1) / 2, (1, 1)
+        if change == "on-boundary":
+            expected, x = CoordinateOnCellBoundary, cell.x0
+        elif change == "mismatch":
+            expected, weighed = HistoryMismatch, t.SubdivisionHistory(initial, events[:-1]).replay()
+            cell = weighed.cells[0]
+            x = (cell.x0 + cell.x1) / 2
+        else:  # the rule splits before it checks the orders, then raises
+            expected, smooth = ValueError, (-1, -1)
+        try:
+            t.weighted_split(weighed, history, cell.id, "v", x, smooth, (2, 2), 3, 3)
+        except expected:
+            assert history.initial is initial
+            assert len(history.events) == len(events) and all(map(operator.is_, history.events, events))
+        else:
+            assert change == "raise-mid-rule"  # the new segment reached the boundary
+    fresh = t.SubdivisionHistory(history.initial, list(history.events))
+    assert _results(history, calls, pick) == _results(fresh, calls, pick)
+    if change == "copy":
+        assert original.events == events
+        assert _results(original, calls, pick) == _results(t.SubdivisionHistory(initial, events), calls, pick)
+    try:
+        reference = _fresh(history)
+    except MeshError:  # the calls above compared the error
+        return
+    state = history._replayed()
+    assert (state.rects, state.lines, state.events) == (reference.rects, reference.lines, reference.events)
+
+
+def test_failed_weighted_split_starts_a_new_replay():
+    """The rule's own splits stay in the kept replay when it raises after
+    them, so the replay is then longer than the history and starts over."""
+    grid, hist = grid3x3_history()
+    events = list(hist.events)
+    center = cell_containing(grid, F(3, 2), F(3, 2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        t.weighted_split(grid, hist, center.id, "v", F(4, 3), (-1, -1), (2, 2), 3, 3)
+    assert hist.events == events
+    assert len(hist._kept.events) == len(events) + 1
+    assert sorted(hist.replay().cell_rects()) == sorted(grid.cell_rects())
+    assert hist._kept.events == events
+    out = t.weighted_split(grid, hist, center.id, "v", F(4, 3), (1, 1), (2, 2), 3, 3)
+    assert sorted(hist.replay().cell_rects()) == sorted(out.mesh.cell_rects())
 
 
 def test_weighted_split_takes_constant_smoothness_only():
