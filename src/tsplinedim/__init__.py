@@ -17,7 +17,6 @@ from .dimension import (
     apolar_dim,
     combinatorial_term,
     dimension_bounds,
-    exactness_certificate,
     h_upper_bound,
     search_ordering,
 )
@@ -60,7 +59,6 @@ from .hierarchy import (
     SubdivisionHistory,
     appearance_ordering,
     initial_mesh,
-    new_isolated_segment_count,
     split_cell,
     weighted_split,
 )
@@ -77,9 +75,7 @@ from .mesh import (
     stats,
 )
 from .oracle import (
-    apolar_dim_bruteforce,
     build_spline_system,
-    d1_full_row_rank,
     h_exact,
     h_via_h0,
     h_via_mis_presentation,
@@ -92,7 +88,6 @@ from .segments import (
     analyze_segments,
     blocking,
     default_ordering,
-    is_weighted,
     segment_weight,
 )
 from .smoothness import (

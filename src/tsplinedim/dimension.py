@@ -177,18 +177,14 @@ class Certificate(NamedTuple):
     h: int | None  # exact defect when the certificate pins it
 
 
-def exactness_certificate(analysis, dist, degree, ordering, history=None):
-    """Strongest applicable exactness statement for the defect.
+def _certificate(analysis, dist, degree, bound, history):
+    """Strongest applicable exactness statement for the defect, read from
+    the segment weights already held in ``bound``.
 
     In order: no interior segments; (m+1, n+1)-weighted; all weights small
     enough that the bound is attained; hierarchical mesh with constant
     smoothness and degrees at least 2r+1.  Otherwise "none".
     """
-    return _certificate(analysis, dist, degree, h_upper_bound(analysis, dist, degree, ordering), history)
-
-
-def _certificate(analysis, dist, degree, bound, history):
-    """exactness_certificate from the weights already held in ``bound``."""
     m, n = degree
     if not analysis.mis:
         return Certificate(CERT_NO_MIS, 0)

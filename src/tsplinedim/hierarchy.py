@@ -2,8 +2,8 @@
 ordering of interior segments, and the weighted subdivision rule.
 
 A history replays on its cell list, recording the span of every inserted
-edge on its line; the appearance ordering and the isolated-segment count
-are read off those spans, so a mesh is built only to be returned or weighed.
+edge on its line; the appearance ordering is read off those spans, so a
+mesh is built only to be returned or weighed.
 A history keeps its replay and extends it by the events appended since, so
 each event is split once however often the history is replayed, ordered or
 weighed.
@@ -265,21 +265,3 @@ def appearance_ordering(history, analysis):
     """
     return history._replayed().ordering(analysis)
 
-
-def new_isolated_segment_count(history):
-    """Number of events that introduce a new interior segment carrying no
-    interior vertex at the moment of its creation.
-
-    This is the slack term of the hierarchical biquadratic dimension bound,
-    read off the replay's spans.  An event counts when both ends of its edge
-    lie strictly inside the initial box and no earlier span on its line ends
-    at its lo or starts at its hi: earlier spans never reach into the split
-    cell, so only one touching an end joins the edge to a longer segment.
-    """
-    x0, y0, x1, y1 = map(as_fraction, history.initial)
-    across = {VERTICAL: (y0, y1), HORIZONTAL: (x0, x1)}
-    return sum(
-        across[d][0] < lo and hi < across[d][1] and all(b != lo and a != hi for a, b, _ in spans[:i])
-        for (d, _), spans in history._replayed().lines.items()
-        for i, (lo, hi, _) in enumerate(spans)
-    )

@@ -44,6 +44,9 @@ class SparseRationalMatrix:
             self._rows[row].pop(col, None)
 
     def add(self, row, col, value):
+        """Add value to one entry.  Nothing in the package calls it: it stays
+        only for the benchmark tracer's ``linalg.matrix_add.calls`` metric and
+        the harness test that names it, which ROADMAP item 1b retires."""
         self.set(row, col, self._rows[row].get(col, 0) + value)
 
     @property

@@ -17,11 +17,9 @@ the other routes and the combinatorial formulas against it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .dimension import combinatorial_term
-from .errors import DegreeOutOfRange, DuplicatePoints
 from .linalg import SparseRationalMatrix, rational_rank
 from .mesh import HORIZONTAL, VERTICAL, lattice
 from .segments import analyze_segments
@@ -213,115 +211,3 @@ def _axis_ints(nodes):
     ints = lattice(nodes)
     return [v - ints[0] for v in ints]
 
-
-def d1_full_row_rank(mesh, dist, degree):
-    """Surjectivity of the vertex-level map of the quotient complex.
-
-    Columns are edge-quotient basis elements, rows vertex-quotient basis
-    elements; the map must have full row rank on every valid mesh.
-    """
-    m, n = degree
-    v_offset = {}
-    total_rows = 0
-    v_shape = {}
-    for vid in mesh.interior_vertices:
-        v = mesh.vertices[vid]
-        rh = min(dist.order(VERTICAL, v.x), m)
-        rv = min(dist.order(HORIZONTAL, v.y), n)
-        v_offset[vid] = total_rows
-        v_shape[vid] = (rh, rv)
-        total_rows += (rh + 1) * (rv + 1)
-
-    columns = []
-    for eid in mesh.interior_edges:
-        e = mesh.edges[eid]
-        r = dist.order(e.direction, e.coord)
-        if e.horizontal:
-            basis = [(i, l) for i in range(m + 1) for l in range(min(r, n) + 1)]
-        else:
-            basis = [(k, j) for k in range(min(r, m) + 1) for j in range(n + 1)]
-        for idx in basis:
-            col = {}
-            for sign, vid in ((-1, e.start), (1, e.end)):
-                if not mesh.vertices[vid].interior:
-                    continue
-                v = mesh.vertices[vid]
-                ph, pv = v_shape[vid]
-                base = v_offset[vid]
-                if e.horizontal:
-                    i, l = idx  # s^i (t-a)^l at vertex (x0, a): expand s^i around x0
-                    if l > pv:
-                        continue
-                    for p in range(min(i, ph) + 1):
-                        c = comb(i, p) * v.x ** (i - p)
-                        slot = base + p * (pv + 1) + l
-                        col[slot] = col.get(slot, 0) + sign * c
-                else:
-                    k, j = idx  # (s-a)^k t^j at vertex (a, y0): expand t^j around y0
-                    if k > ph:
-                        continue
-                    for q in range(min(j, pv) + 1):
-                        c = comb(j, q) * v.y ** (j - q)
-                        slot = base + k * (pv + 1) + q
-                        col[slot] = col.get(slot, 0) + sign * c
-            if col:
-                columns.append(col)
-
-    return rational_rank(columns) == total_rows
-
-
-def apolar_dim_bruteforce(n, points, ds):
-    """Rank of the shifted-power generator matrix; the oracle for apolar_dim.
-
-    Points are ints or Fractions.  Also verifies the orthogonality
-    characterization: every multiple of the complementary product of
-    degree <= n is apolar-orthogonal to every generator.
-    """
-    if len(points) != len(ds):
-        raise ValueError("points and exponents must pair up")
-    seen = set()
-    for a, d in zip(points, ds):
-        if not isinstance(a, (int, Fraction)):
-            raise TypeError(f"point {a!r} is not an int or a Fraction")
-        if a in seen:
-            raise DuplicatePoints(f"point {a} repeated")
-        seen.add(a)
-        if not 0 <= d <= n:
-            raise DegreeOutOfRange(f"exponent {d} outside [0, {n}]")
-
-    generators = []
-    for a, d in zip(points, ds):
-        base = _shifted_power(a, d)
-        for j in range(n - d + 1):
-            generators.append({j + i: c for i, c in enumerate(base)})
-    rank = rational_rank(generators)
-
-    # Orthogonality cross-check: every degree <= n multiple of the
-    # complementary product pairs to zero with every generator under the
-    # apolar form (reversed coefficients with alternating signs; pairing a
-    # polynomial against (u - a)^n evaluates it at a).  Scaled by
-    # lcm of the binomials so integer inputs stay in integer arithmetic.
-    total = sum(n - d + 1 for d in ds)
-    if points and total <= n:
-        product = [1]
-        for a, d in zip(points, ds):
-            product = _poly_mul(product, _shifted_power(a, n - d + 1))
-        scale = lcm(*(comb(n, i) for i in range(n + 1)))
-        weights = [(-1) ** i * (scale // comb(n, i)) for i in range(n + 1)]
-        for k in range(n - (len(product) - 1) + 1):
-            shifted = [0] * k + product + [0] * (n + 1 - k - len(product))
-            for g in generators:
-                inner = sum(weights[i] * c * shifted[n - i] for i, c in g.items())
-                if inner != 0:
-                    raise RuntimeError("apolar orthogonality violated")
-
-    return rank
-
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out

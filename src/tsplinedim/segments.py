@@ -191,12 +191,3 @@ def _transversal_weight(analysis, dist, degree, seg, vertex_id):
         return max(0, m - dist.order(VERTICAL, vertex.x))
     return max(0, n - dist.order(HORIZONTAL, vertex.y))
 
-
-def is_weighted(analysis, dist, degree, ordering, k, kp):
-    """True iff every horizontal interior segment has weight >= k and every
-    vertical one weight >= kp (vacuously true without interior segments)."""
-    return all(
-        segment_weight(analysis, dist, degree, ordering, sid).weight
-        >= (k if analysis.segments[sid].horizontal else kp)
-        for sid in analysis.mis
-    )

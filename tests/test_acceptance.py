@@ -22,6 +22,12 @@ from meshgen import (
     subdivide_center_3x3,
     univariate_spline_dim,
 )
+from witnesses import (
+    apolar_dim_bruteforce,
+    exactness_certificate,
+    is_weighted,
+    new_isolated_segment_count,
+)
 
 
 def criterion(number, title):
@@ -57,7 +63,7 @@ def test_c02_single_segment_mesh():
     assert t.combinatorial_term(mesh, dist, deg) == 14
     analysis = t.analyze_segments(mesh)
     ordering = t.default_ordering(analysis)
-    cert = t.exactness_certificate(analysis, dist, deg, ordering)
+    cert = exactness_certificate(analysis, dist, deg, ordering)
     assert cert.name == t.CERT_SMALL_WEIGHTS and cert.h == 1
     assert t.spline_dimension_exact(mesh, dist, deg) == 15
     assert t.h_exact(mesh, dist, deg) == 1
@@ -83,8 +89,8 @@ def test_c03_center_subdivision():
 
     analysis = t.analyze_segments(refined)
     ordering = t.appearance_ordering(hist, analysis)
-    assert t.is_weighted(analysis, dist2, (2, 2), ordering, 2, 2)
-    assert not t.is_weighted(analysis, dist2, (2, 2), ordering, 3, 3)
+    assert is_weighted(analysis, dist2, (2, 2), ordering, 2, 2)
+    assert not is_weighted(analysis, dist2, (2, 2), ordering, 3, 3)
 
 
 @criterion(4, "four-segment mesh: weights (2,2,3,3), bound 2")
@@ -112,7 +118,7 @@ def test_c05_apolar_exhaustive():
             for points in combinations(range(5), k):
                 for ds in product(range(n + 1), repeat=k):
                     closed = t.apolar_dim(n, list(zip(points, ds)))
-                    brute = t.apolar_dim_bruteforce(n, points, ds)
+                    brute = apolar_dim_bruteforce(n, points, ds)
                     assert closed == brute, (n, points, ds, closed, brute)
 
 
@@ -178,7 +184,7 @@ def test_c08_weighted_rule():
             analysis = t.analyze_segments(mesh)
             dist = t.constant_distribution(mesh, r, rp)
             ordering = t.appearance_ordering(history, analysis)
-            assert t.is_weighted(analysis, dist, deg, ordering, m + 1, n + 1), trial
+            assert is_weighted(analysis, dist, deg, ordering, m + 1, n + 1), trial
             assert t.h_exact(mesh, dist, deg) == 0, trial
 
 
@@ -194,7 +200,7 @@ def test_c09_small_degree_closed_forms():
         c1 = t.constant_distribution(mesh, 1, 1)
         assert t.spline_dimension_exact(mesh, c1, (3, 3)) == 4 * (counts.f0plus + counts.f0b)
         lower = 9 * counts.f2 - 6 * counts.f1o + 4 * counts.f0o
-        slack = t.new_isolated_segment_count(history)
+        slack = new_isolated_segment_count(history)
         biquadratic = t.spline_dimension_exact(mesh, c1, (2, 2))
         assert lower <= biquadratic <= lower + slack, (trial, lower, biquadratic, slack)
 

@@ -25,6 +25,7 @@ from meshgen import (
     subdivide_cell_3x3,
     subdivide_center_3x3,
 )
+from witnesses import exactness_certificate
 
 
 def test_apolar_dim_examples():
@@ -193,12 +194,12 @@ def test_certificates():
     staircase = ex11_mesh()
     a = t.analyze_segments(staircase)
     dist = t.constant_distribution(staircase, 1, 1)
-    cert = t.exactness_certificate(a, dist, deg, t.default_ordering(a))
+    cert = exactness_certificate(a, dist, deg, t.default_ordering(a))
     assert cert.name == t.CERT_NO_MIS and cert.h == 0
 
     m51 = ex51_mesh()
     a51 = t.analyze_segments(m51)
-    cert51 = t.exactness_certificate(
+    cert51 = exactness_certificate(
         a51, t.constant_distribution(m51, 1, 1), deg, t.default_ordering(a51)
     )
     assert cert51.name == t.CERT_SMALL_WEIGHTS and cert51.h == 1
@@ -207,7 +208,7 @@ def test_certificates():
     a19 = t.analyze_segments(mesh19)
     dist19 = t.constant_distribution(mesh19, 1, 1)
     order19 = t.appearance_ordering(hist19, a19)
-    cert33 = t.exactness_certificate(a19, dist19, (3, 3), order19, hist19)
+    cert33 = exactness_certificate(a19, dist19, (3, 3), order19, hist19)
     assert cert33.name == t.CERT_WEIGHTED and cert33.h == 0  # weights 4,4,6,6 >= 4
 
 
@@ -220,7 +221,7 @@ def test_hierarchical_degree_certificate():
         a = t.analyze_segments(mesh)
     dist = t.constant_distribution(mesh, 1, 1)
     order = t.appearance_ordering(hist, a)
-    cert = t.exactness_certificate(a, dist, (3, 3), order, hist)
+    cert = exactness_certificate(a, dist, (3, 3), order, hist)
     assert cert.h == 0  # weighted or hierarchical-degree, both exact
     assert t.h_exact(mesh, dist, (3, 3)) == 0
 
@@ -241,9 +242,9 @@ def test_hierarchical_degree_certificate_fires_on_mixed_weights():
         if not (min(excess, default=0) < 0 < max(excess, default=0)):
             continue
         found += 1
-        cert = t.exactness_certificate(a, dist, (3, 3), canonical, history)
+        cert = exactness_certificate(a, dist, (3, 3), canonical, history)
         assert cert == t.dimension.Certificate(t.CERT_HIERARCHICAL, 0)
-        assert t.exactness_certificate(a, dist, (3, 3), canonical).name == t.CERT_NONE
+        assert exactness_certificate(a, dist, (3, 3), canonical).name == t.CERT_NONE
         assert t.h_via_mis_presentation(mesh, dist, (3, 3)) == 0
     assert found >= 2
 
@@ -353,7 +354,7 @@ def test_certificate_soundness_against_oracle():
         dist = t.constant_distribution(mesh, r, rp)
         a = t.analyze_segments(mesh)
         order = t.appearance_ordering(hist, a)
-        cert = t.exactness_certificate(a, dist, (m, n), order, hist)
+        cert = exactness_certificate(a, dist, (m, n), order, hist)
         if cert.h is not None:
             assert t.h_exact(mesh, dist, (m, n)) == cert.h
 

@@ -27,6 +27,7 @@ from tsplinedim.formats import (
 )
 
 from meshgen import EX11_CELLS, EX51_CELLS
+from witnesses import is_weighted
 
 
 EX51_TEXT = """tmesh 1
@@ -360,7 +361,7 @@ def test_tsub_weighted_lines():
     analysis = t.analyze_segments(mesh)
     dist = t.constant_distribution(mesh, 1, 1)
     order = t.appearance_ordering(expanded, analysis)
-    assert t.is_weighted(analysis, dist, (2, 2), order, 3, 3)
+    assert is_weighted(analysis, dist, (2, 2), order, 3, 3)
     # the wsplit at x=3/2 gains one extension hop through cell 8
     assert format_tsub(expanded) == (
         "tsub 1\ninit 0 0 3 3\n"

@@ -19,6 +19,7 @@ from meshgen import (
     split_at,
     subdivide_center_3x3,
 )
+from witnesses import is_weighted, new_isolated_segment_count
 
 
 def test_full_span_splits_make_grid():
@@ -125,7 +126,7 @@ def test_stepwise_splits_agree_with_replay(seed, n_splits):
         mesh = out.mesh
     assert stepped.events == history.events
     assert sorted(mesh.cell_rects()) == sorted(history.replay().cell_rects())
-    assert isolated == t.new_isolated_segment_count(history)
+    assert isolated == new_isolated_segment_count(history)
     analysis = t.analyze_segments(mesh)
     spans = {sid: (s.direction, s.coord, s.lo, s.hi) for sid, s in enumerate(analysis.segments)}
     by_birth = sorted(analysis.mis, key=lambda sid: births[spans[sid]])
@@ -182,7 +183,7 @@ def test_weighted_split_extends_until_weighted():
     dist = t.constant_distribution(mesh, 1, 1)
     analysis = t.analyze_segments(mesh)
     order = t.appearance_ordering(hist, analysis)
-    assert t.is_weighted(analysis, dist, deg, order, 3, 3)
+    assert is_weighted(analysis, dist, deg, order, 3, 3)
     assert t.h_exact(mesh, dist, deg) == 0
     assert sorted(hist.replay().cell_rects()) == sorted(mesh.cell_rects())
 
@@ -262,7 +263,7 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
         analysis = t.analyze_segments(mesh)
         assert run(history.replay) == (1, n_splits)
         assert run(lambda: t.appearance_ordering(history, analysis)) == (0, 0)
-        assert run(lambda: t.new_isolated_segment_count(history)) == (0, 0)
+        assert run(lambda: new_isolated_segment_count(history)) == (0, 0)
         assert run(history.replay) == (1, 0)
         analysed.clear()
         assert run(lambda: t.apply_history(history)) == (1, n_splits)
@@ -276,7 +277,7 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
             ))
             appended = len(trial.events) - len(history.events)
             assert count == (appended, n_splits + appended)  # a copy replays anew
-            assert run(lambda: t.new_isolated_segment_count(trial)) == (0, 0)
+            assert run(lambda: new_isolated_segment_count(trial)) == (0, 0)
             hops += appended - 1
     assert hops > 0  # extension hops are counted too
 
@@ -290,7 +291,7 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
     assert (len(built), len(split)) == (len(expanded.events) + 1, len(expanded.events))
     analysis = t.analyze_segments(mesh)
     assert run(lambda: t.appearance_ordering(applied, analysis)) == (0, 0)
-    assert run(lambda: t.new_isolated_segment_count(applied)) == (0, 0)
+    assert run(lambda: new_isolated_segment_count(applied)) == (0, 0)
     assert run(applied.replay) == (1, 0)
 
 
@@ -314,7 +315,7 @@ def _results(history, calls, pick):
             if call == "replay":
                 value = history.replay().cell_rects()
             elif call == "isolated":
-                value = t.new_isolated_segment_count(history)
+                value = new_isolated_segment_count(history)
             elif call == "ordering":
                 analysis = t.analyze_segments(t.build_mesh(_fresh(history).rects))
                 value = t.appearance_ordering(history, analysis)
@@ -432,11 +433,11 @@ def test_weighted_split_takes_constant_smoothness_only():
 
 def test_isolated_segment_count():
     grid, hist = grid3x3_history()
-    assert t.new_isolated_segment_count(hist) == 0
+    assert new_isolated_segment_count(hist) == 0
     refined = subdivide_center_3x3(grid, hist)
     # all four segments of the centre block cross or touch one another, but
     # each is created bare before the transversal ones arrive
-    sigma = t.new_isolated_segment_count(hist)
+    sigma = new_isolated_segment_count(hist)
     dist = t.constant_distribution(refined, 1, 1)
     counts = t.stats(refined)
     low = 9 * counts.f2 - 6 * counts.f1o + 4 * counts.f0o

@@ -23,6 +23,7 @@ from meshgen import (
     subdivide_center_3x3,
     univariate_spline_dim,
 )
+from witnesses import apolar_dim_bruteforce, d1_full_row_rank
 
 
 def test_rational_rank_basics():
@@ -124,13 +125,13 @@ def test_d1_surjective():
     deg = (2, 2)
     for mesh in (ex51_mesh(), grid_mesh(3, 3), pinwheel_mesh()):
         dist = t.constant_distribution(mesh, 1, 1)
-        assert t.d1_full_row_rank(mesh, dist, deg)
+        assert d1_full_row_rank(mesh, dist, deg)
     rng = random.Random(9)
     for _ in range(6):
         mesh, _ = random_mesh(rng, rng.randrange(2, 12))
         m, n = rng.randrange(1, 4), rng.randrange(1, 4)
         dist = t.constant_distribution(mesh, rng.randrange(0, m), rng.randrange(0, n))
-        assert t.d1_full_row_rank(mesh, dist, (m, n))
+        assert d1_full_row_rank(mesh, dist, (m, n))
 
 
 def test_tensor_grid_oracle_with_varying_orders():
@@ -151,23 +152,23 @@ def test_tensor_grid_oracle_with_varying_orders():
 
 
 def test_apolar_bruteforce_values():
-    assert t.apolar_dim_bruteforce(2, [0], [1]) == 2
-    assert t.apolar_dim_bruteforce(3, [0, 1], [2, 2]) == 4
-    assert t.apolar_dim_bruteforce(4, [0, 1, 2], [4, 4, 4]) == 3
-    assert t.apolar_dim_bruteforce(5, [0, 1, 2], [3, 3, 3]) == 6
+    assert apolar_dim_bruteforce(2, [0], [1]) == 2
+    assert apolar_dim_bruteforce(3, [0, 1], [2, 2]) == 4
+    assert apolar_dim_bruteforce(4, [0, 1, 2], [4, 4, 4]) == 3
+    assert apolar_dim_bruteforce(5, [0, 1, 2], [3, 3, 3]) == 6
     # rational shift points
-    assert t.apolar_dim_bruteforce(3, [F(1, 2), F(5, 2)], [2, 3]) == t.apolar_dim(
+    assert apolar_dim_bruteforce(3, [F(1, 2), F(5, 2)], [2, 3]) == t.apolar_dim(
         3, [(F(1, 2), 2), (F(5, 2), 3)]
     )
 
 
 def test_apolar_bruteforce_validation():
     with pytest.raises(DuplicatePoints):
-        t.apolar_dim_bruteforce(4, [2, 2], [1, 1])
+        apolar_dim_bruteforce(4, [2, 2], [1, 1])
     with pytest.raises(DegreeOutOfRange):
-        t.apolar_dim_bruteforce(2, [0], [5])
+        apolar_dim_bruteforce(2, [0], [5])
     with pytest.raises(TypeError):
-        t.apolar_dim_bruteforce(2, [0.5], [1])
+        apolar_dim_bruteforce(2, [0.5], [1])
 
 
 def test_pinwheel_sandwich():

@@ -16,6 +16,7 @@ from meshgen import (
     spaces,
     subdivide_center_3x3,
 )
+from witnesses import is_weighted
 
 
 def test_staircase_has_no_interior_segments():
@@ -124,19 +125,19 @@ def test_is_weighted_vacuous_and_examples():
     dist = t.constant_distribution(staircase, 1, 1)
     order = t.default_ordering(a)
     for k in range(5):
-        assert t.is_weighted(a, dist, (2, 2), order, k, k)
+        assert is_weighted(a, dist, (2, 2), order, k, k)
 
     grid, hist = grid3x3_history()
     refined = subdivide_center_3x3(grid, hist)
     a2 = t.analyze_segments(refined)
     dist2 = t.constant_distribution(refined, 1, 1)
     order2 = t.appearance_ordering(hist, a2)
-    assert t.is_weighted(a2, dist2, (2, 2), order2, 2, 2)
-    assert not t.is_weighted(a2, dist2, (2, 2), order2, 3, 3)
+    assert is_weighted(a2, dist2, (2, 2), order2, 2, 2)
+    assert not is_weighted(a2, dist2, (2, 2), order2, 3, 3)
 
     m51 = ex51_mesh()
     a51 = t.analyze_segments(m51)
-    assert not t.is_weighted(
+    assert not is_weighted(
         a51, t.constant_distribution(m51, 1, 1), (2, 2), t.default_ordering(a51), 3, 3
     )
 

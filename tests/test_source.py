@@ -98,3 +98,57 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
         cwd=PACKAGE.parent, capture_output=True, text=True, check=True, timeout=60,
     )
     assert done.stdout.strip() == "[]"
+
+
+# Public functions that no package code reaches, each with why it stays.
+KEEP = {
+    "dimension.apolar_dim": "ROADMAP item 9: the one-MIS closed form of the defect's lower bound calls it",
+    "hierarchy.initial_mesh": "a README example, and the benchmark generator starts each weighted history with it",
+    "hierarchy.split_cell": "the library's plain split; the benchmark tracer's hierarchy.split_cell metrics wrap it",
+    "oracle.h_exact": "a README example: the defect from the cell-system kernel",
+    "oracle.h_via_h0": "the benchmark judge cross-checks exact-oracle answers with it",
+}
+
+
+def _reached(trees):
+    """(module, name) of every function that package code imports or reads.
+
+    Names resolve per module: a bare name to the module's own definition,
+    an imported name to its source module, and ``alias.name`` only when the
+    alias is a package module, so a record field such as
+    ``report.h_exact`` does not count as a use of ``oracle.h_exact``.  The
+    package imports its own modules relatively, and the re-exports of
+    ``__init__`` do not count.
+    """
+    reached = set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        aliases = {}  # names bound to package modules by `from . import`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for a in node.names:
+                    if node.module:
+                        reached.add((node.module, a.name))
+                    else:
+                        aliases[a.asname or a.name] = a.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reached.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                reached.add((aliases[node.value.id], node.attr))
+    return reached
+
+
+def test_every_public_function_is_reached():
+    # A routine that only tests call belongs in tests/witnesses.py.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    public = {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    unreached = public - {f"{module}.{name}" for module, name in _reached(trees)}
+    assert sorted(unreached - KEEP.keys()) == []
+    assert sorted(KEEP.keys() - unreached) == []
