@@ -283,25 +283,22 @@ def format_tsub(history):
 def apply_history(history, smoothness=None, degree=None, rule=None):
     """Execute a parsed history; returns (mesh, elementary history).
 
-    Plain splits are only recorded; ``SubdivisionHistory.replay`` applies
-    them when a ``wsplit`` needs a mesh to weigh, and once at the end.
-    ``wsplit`` events run the weighted rule and need ``smoothness`` and
-    ``degree``.  When ``rule`` is given, plain splits are run through the
-    weighted rule with that (k, k') as well.
+    Plain splits are only recorded, and ``wsplit`` events run the weighted
+    rule on the expanded history's replay; the mesh is built once, at the
+    end.  ``wsplit`` events need ``smoothness`` and ``degree``.  When
+    ``rule`` is given, plain splits are run through the weighted rule with
+    that (k, k') as well.  The first bad event raises first: the plain
+    splits before a ``wsplit`` are replayed before its arguments are
+    checked.
     """
     expanded = SubdivisionHistory(history.initial)
-    mesh = None  # the mesh of expanded; None while plain splits wait for a replay
     for ev in history.events:
         use_rule = rule if ev.rule is None else ev.rule
         if use_rule is None:
             expanded.events.append(SplitEvent(ev.cell, ev.direction, as_fraction(ev.coord)))
-            mesh = None
             continue
-        if mesh is None:
-            mesh = expanded.replay()
+        expanded._replayed()
         if smoothness is None or degree is None:
             raise ValueError("weighted splits need a smoothness and a degree")
-        mesh = weighted_split(
-            mesh, expanded, ev.cell, ev.direction, ev.coord, smoothness, degree, *use_rule
-        ).mesh
-    return mesh if mesh is not None else expanded.replay(), expanded
+        weighted_split(None, expanded, ev.cell, ev.direction, ev.coord, smoothness, degree, *use_rule)
+    return expanded.replay(), expanded

@@ -2,8 +2,8 @@
 ordering of interior segments, and the weighted subdivision rule.
 
 A history replays on its cell list, recording the span of every inserted
-edge on its line; the appearance ordering is read off those spans, so a
-mesh is built only to be returned or weighed.
+edge on its line; the appearance ordering and the weighted rule are read off
+those spans, so a mesh is built only to be returned.
 A history keeps its replay and extends it by the events appended since, so
 each event is split once however often the history is replayed, ordered or
 weighed.
@@ -11,15 +11,14 @@ weighed.
 
 from __future__ import annotations
 
+import operator
 from bisect import insort
 from fractions import Fraction
-from operator import is_
 from typing import NamedTuple
 
 from .errors import CoordinateOnCellBoundary, HistoryMismatch, UnknownCell
 from .mesh import HORIZONTAL, VERTICAL, _check_cells, as_fraction, build_mesh
-from .segments import Ordering, analyze_segments, segment_weight
-from .smoothness import constant_distribution
+from .segments import Ordering, analyze_segments
 
 NEW_MIS = "new-MIS"
 EXTENDED_MIS = "extended-MIS"
@@ -85,12 +84,14 @@ class SubdivisionHistory:
 
 def _same(a, b):
     """Whether a and b hold the very same objects."""
-    return len(a) == len(b) and all(map(is_, a, b))
+    return len(a) == len(b) and all(map(operator.is_, a, b))
 
 
 class SplitOutcome(NamedTuple):
+    # The mesh after the split and the maximal segment of it that holds the
+    # new edge; both None when weighted_split was given no mesh.
     mesh: object
-    segment: object  # maximal segment of .mesh containing the new edge
+    segment: object
     classification: str
 
 
@@ -126,22 +127,21 @@ def _split(rects, event):
     return coord, lo, hi
 
 
-def _outcome(rects, direction, coord, lo, hi, inserted):
-    """Build the mesh of rects and classify the maximal segment holding the
-    new edge [lo, hi]; inserted is the length this call put on its line."""
-    mesh = build_mesh(rects)
-    analysis = analyze_segments(mesh)
-    segment = next(
-        s for s in analysis.segments
+def _classify(interior, length, inserted):
+    """Classification of the maximal segment holding a new edge, from whether
+    it is interior, its length and the length the call inserted on its line."""
+    if not interior:
+        return BOUNDARY_REACHING
+    return NEW_MIS if length == inserted else EXTENDED_MIS
+
+
+def _segment(mesh, line, lo, hi):
+    """The maximal segment of mesh on the line (direction, coord) holding [lo, hi]."""
+    direction, coord = line
+    return next(
+        s for s in analyze_segments(mesh).segments
         if s.direction == direction and s.coord == coord and s.lo <= lo and hi <= s.hi
     )
-    if not segment.interior:
-        classification = BOUNDARY_REACHING
-    elif segment.hi - segment.lo == inserted:
-        classification = NEW_MIS
-    else:
-        classification = EXTENDED_MIS
-    return SplitOutcome(mesh, segment, classification), analysis
 
 
 class _Replay:
@@ -152,11 +152,16 @@ class _Replay:
     each line (direction, coord) the (lo, hi, event index) of every edge
     inserted on it, in event order.  No mesh is built: the initial
     rectangle is validated as build_mesh validates a cell, with its errors.
+
+    Every interior edge of the mesh is an inserted edge, so the spans hold
+    its maximal segments, their births and their vertices (``run``,
+    ``inside``, ``counted``).
     """
 
     def __init__(self, initial):
         self.initial = tuple(initial)
-        self.rects = [tuple(map(as_fraction, self.initial))]
+        self.box = tuple(map(as_fraction, self.initial))
+        self.rects = [self.box]
         _check_cells(self.rects, self.rects)
         self.lines = {}
         self.events = []
@@ -166,6 +171,45 @@ class _Replay:
         self.lines.setdefault((event.direction, coord), []).append((lo, hi, len(self.events)))
         self.events.append(event)
         return coord, lo, hi
+
+    def run(self, line, lo, hi):
+        """(lo, hi, birth) of the maximal segment on the line that holds
+        [lo, hi], or None: the connected union of the line's spans, where
+        spans that touch at an end join, and the smallest event index among
+        them."""
+        runs = []
+        for a, b, i in sorted(self.lines.get(line, ())):
+            if runs and runs[-1][1] == a:
+                runs[-1] = (runs[-1][0], b, min(runs[-1][2], i))
+            else:
+                runs.append((a, b, i))
+        return next((run for run in runs if run[0] <= lo and hi <= run[1]), None)
+
+    def inside(self, direction, lo, hi):
+        """Whether [lo, hi] on a line of the direction lies strictly inside
+        the initial rectangle, so that a segment there is interior."""
+        x0, y0, x1, y1 = self.box
+        return (x0 < lo and hi < x1) if direction == HORIZONTAL else (y0 < lo and hi < y1)
+
+    def counted(self, line, run):
+        """Number of counted vertices of the interior segment run on the line.
+
+        Its vertices are the points where a span across the line meets it;
+        both its ends are among them, since an interior segment ends on
+        edges across it.  A vertex is counted unless the segment across it
+        is interior and born later.
+        """
+        direction, coord = line
+        lo, hi, birth = run
+        across = VERTICAL if direction == HORIZONTAL else HORIZONTAL
+        count = 0
+        for d, p in self.lines:
+            if d != across or not lo <= p <= hi:
+                continue
+            other = self.run((d, p), coord, coord)
+            if other is not None:
+                count += not (other[2] > birth and self.inside(across, other[0], other[1]))
+        return count
 
     def check(self, mesh):
         if self.rects != mesh.cell_rects():
@@ -200,23 +244,25 @@ def split_cell(mesh, history, cell_id, direction, coord):
     event = SplitEvent(cell_id, direction, as_fraction(coord))
     rects = mesh.cell_rects()
     coord, lo, hi = _split(rects, event)
-    outcome, _ = _outcome(rects, direction, coord, lo, hi, hi - lo)
+    mesh = build_mesh(rects)
+    segment = _segment(mesh, (direction, coord), lo, hi)
     if history is not None:
         history.events.append(event)
-    return outcome
+    return SplitOutcome(mesh, segment, _classify(segment.interior, segment.hi - segment.lo, hi - lo))
 
 
-def _extension_target(rects, segment, at_hi):
-    """Id of the cell entered when the segment is prolonged past one of its end points."""
-    end = segment.hi if at_hi else segment.lo
+def _extension_target(rects, line, end, at_hi):
+    """Id of the cell entered when the segment on the line is prolonged past
+    its end point ``end``, its high end when at_hi."""
+    direction, coord = line
     for cell_id, (x0, y0, x1, y1) in enumerate(rects):
-        if segment.horizontal:
-            hit = (x0 if at_hi else x1) == end and y0 < segment.coord < y1
+        if direction == HORIZONTAL:
+            hit = (x0 if at_hi else x1) == end and y0 < coord < y1
         else:
-            hit = (y0 if at_hi else y1) == end and x0 < segment.coord < x1
+            hit = (y0 if at_hi else y1) == end and x0 < coord < x1
         if hit:
             return cell_id
-    raise AssertionError(f"no cell continues segment {segment.id} past {end}")
+    raise AssertionError(f"no cell continues the {direction} segment at {coord} past {end}")
 
 
 def weighted_split(mesh, history, cell_id, direction, coord, smoothness, degree, k, kp):
@@ -227,34 +273,52 @@ def weighted_split(mesh, history, cell_id, direction, coord, smoothness, degree,
     alternating) until it either reaches the domain boundary or its weight
     under the appearance ordering is at least k (horizontal) / kp (vertical).
     Every hop splits the cell it crosses and is recorded in the history.
-    ``smoothness`` is a ConstantSmoothness or an (r, r') pair.  The history
-    is left unchanged when an error is raised, and HistoryMismatch is raised
-    unless it replays to ``mesh``.
+    ``smoothness`` is a ConstantSmoothness or an (r, r') pair of
+    nonnegative ints, checked before the first split.  Under constant
+    smoothness the weight is the number of counted vertices times
+    (m - r)+ for a horizontal segment, (n - r')+ for a vertical one, and
+    the rule reads it off the history's replay: no mesh is built per hop.
+
+    With a ``mesh``, HistoryMismatch is raised unless the history replays
+    to it, and the outcome holds the mesh after the rule and its maximal
+    segment holding the last inserted edge.  With ``mesh=None``, cell ids
+    refer to the replay's own canonical order, nothing is checked or
+    built, and the outcome's mesh and segment are None.  The history is
+    left unchanged when an error is raised.
     """
     if history is None:
         raise ValueError("the weighted rule needs a history for the appearance ordering")
-    r, rp = smoothness
+    r, rp = map(operator.index, smoothness)
+    if r < 0 or rp < 0:
+        raise ValueError("smoothness orders must be nonnegative")
     events = [SplitEvent(cell_id, direction, as_fraction(coord))]
     state = history._replayed()
-    state.check(mesh)
+    if mesh is not None:
+        state.check(mesh)
     threshold = k if direction == HORIZONTAL else kp
     inserted = 0
     at_hi = True
     while True:
         coord, lo, hi = state.split(events[-1])
+        line = (direction, coord)
         inserted += hi - lo
-        outcome, analysis = _outcome(state.rects, direction, coord, lo, hi, inserted)
-        if not outcome.segment.interior:
+        run = state.run(line, lo, hi)
+        interior = state.inside(direction, run[0], run[1])
+        if not interior:
             break
-        dist = constant_distribution(outcome.mesh, r, rp)
-        ordering = state.ordering(analysis)
-        if segment_weight(analysis, dist, degree, ordering, outcome.segment.id).weight >= threshold:
+        m, n = degree
+        multiplicity = max(0, m - r) if direction == HORIZONTAL else max(0, n - rp)
+        if state.counted(line, run) * multiplicity >= threshold:
             break
-        target = _extension_target(state.rects, outcome.segment, at_hi)
+        target = _extension_target(state.rects, line, run[1] if at_hi else run[0], at_hi)
         events.append(SplitEvent(target, direction, coord))
         at_hi = not at_hi
     history.events.extend(events)
-    return outcome
+    classification = _classify(interior, run[1] - run[0], inserted)
+    if mesh is None:
+        return SplitOutcome(None, None, classification)
+    mesh = build_mesh(state.rects)
+    return SplitOutcome(mesh, _segment(mesh, line, lo, hi), classification)
 
 
 def appearance_ordering(history, analysis):

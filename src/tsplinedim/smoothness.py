@@ -64,8 +64,9 @@ class ConstantSmoothness(NamedTuple):
     """Mesh-independent constant smoothness, the same thing as an (r, r') pair.
 
     This is the form the weighted subdivision rule takes: the mesh changes
-    after every extension hop, so each hop builds a fresh
-    ``constant_distribution`` from it.
+    after every extension hop, and with one order each way the weight of a
+    segment needs no distribution bound to a mesh, only its counted
+    vertices times (m - r)+ or (n - r')+.
     """
 
     r: int

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from fractions import Fraction as F
@@ -549,3 +550,21 @@ def test_history_with_wsplit_lines_needs_constant_smoothness(tmp_path, capsys):
     argv = ["dim", str(mesh), "-m", "2", "-n", "2", "--history", str(original), "--json"]
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "NonConstantSmoothness"
+
+
+def test_subdivide_of_a_wsplit_history_builds_one_mesh(tmp_path, monkeypatch, capsys):
+    # The weighted rule weighs on the history's replay; only the printed
+    # mesh is built, however many hops the rule makes.
+    built = []
+    real = t.build_mesh
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tsplinedim" and vars(module).get("build_mesh") is real:
+            monkeypatch.setattr(module, "build_mesh", lambda rects: built.append(rects) or real(rects))
+    original = tmp_path / "weighted.tsub"
+    original.write_text(_WSPLIT_HISTORY)
+    emitted = tmp_path / "elementary.tsub"
+    space = ["-m", "2", "-n", "2", "--smooth", "1,1"]
+    assert main(["subdivide", str(original), *space, "--emit-history", str(emitted)]) == 0
+    assert capsys.readouterr().out.startswith("tmesh 1")
+    assert emitted.read_text().count("split") > _WSPLIT_HISTORY.count("split")  # the rule hopped
+    assert len(built) == 1

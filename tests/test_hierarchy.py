@@ -3,7 +3,7 @@ import random
 
 import pytest
 from fractions import Fraction as F
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tsplinedim as t
 from tsplinedim import formats, hierarchy
@@ -14,12 +14,13 @@ from meshgen import (
     ex51_mesh,
     grid3x3_history,
     grid_history,
+    mapped_history,
     random_history,
     random_mesh,
     split_at,
     subdivide_center_3x3,
 )
-from witnesses import is_weighted, new_isolated_segment_count
+from witnesses import is_weighted, new_isolated_segment_count, weighted_split_by_meshes
 
 
 def test_full_span_splits_make_grid():
@@ -221,6 +222,66 @@ def test_weighted_split_boundary_split_on_mismatched_history_raises():
     assert short.events == hist.events[:-1]
 
 
+_QUARTERS = (F(1, 4), F(1, 2), F(3, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0), st.booleans(), st.booleans())
+# Rare draws: a later boundary-reaching segment crosses an interior one that
+# a wsplit then extends, so only the crossing's interior test leaves its
+# vertex counted.
+@example(477, False, False)
+@example(854, False, False)
+def test_weighted_rule_on_the_spans_matches_the_mesh_route(seed, transpose, reflect):
+    """Each wsplit appends the same events and gives the same classification
+    and segment as the reference that builds and weighs a mesh per hop, with
+    or without a mesh; a history of the plain and wsplit lines applies to
+    the reference's events and mesh.  Half the coordinates lie on a node
+    line, so that new edges also join existing segments."""
+    rng = random.Random(seed)
+    history, _ = random_history(rng, rng.randrange(30), rng.choice((1, 4)), rng.choice((1, 3)))
+    if transpose:
+        history = mapped_history(history, transpose=True)
+    if reflect:
+        history = mapped_history(history, transpose=False)
+    degree = m, n = rng.randint(1, 3), rng.randint(1, 3)
+    smooth = rng.randint(0, m + 1), rng.randint(0, n + 1)
+    lines = t.SubdivisionHistory(history.initial, list(history.events))
+    reference = history.copy()
+    mesh = history.replay()
+    for _ in range(rng.randint(1, 6)):
+        cell = rng.choice(mesh.cells)
+        direction = rng.choice("hv")
+        lo, hi = (cell.x0, cell.x1) if direction == "v" else (cell.y0, cell.y1)
+        on_lines = [c for c in (mesh.nodes_x if direction == "v" else mesh.nodes_y) if lo < c < hi]
+        if on_lines and rng.random() < 0.5:
+            coord = rng.choice(on_lines)
+        else:
+            coord = lo + (hi - lo) * rng.choice(_QUARTERS)
+        if rng.random() < 0.25:  # a plain split line
+            for events in (history.events, reference.events, lines.events):
+                events.append(t.SplitEvent(cell.id, direction, coord))
+            mesh = history.replay()
+            continue
+        rule = rng.randint(0, m + 2), rng.randint(0, n + 2)
+        args = (cell.id, direction, coord, smooth, degree, *rule)
+        bare = t.SubdivisionHistory(history.initial, list(history.events))
+        out = t.weighted_split(mesh, history, *args)
+        expected = weighted_split_by_meshes(mesh, reference, *args)
+        spans = t.weighted_split(None, bare, *args)
+        assert history.events == reference.events == bare.events
+        assert out.classification == expected.classification == spans.classification
+        assert spans.mesh is None and spans.segment is None
+        assert out.mesh.cell_rects() == expected.mesh.cell_rects()
+        key = lambda s: (s.direction, s.coord, s.lo, s.hi, s.interior)
+        assert key(out.segment) == key(expected.segment)
+        lines.events.append(t.SplitEvent(*args[:3], rule))
+        mesh = out.mesh
+    applied_mesh, applied = t.apply_history(lines, smooth, degree)
+    assert applied == reference
+    assert applied_mesh.cell_rects() == reference.replay().cell_rects() == mesh.cell_rects()
+
+
 def _wsplit_lines(rng, n_lines):
     """(lines, expanded): n_lines wsplit events under the (3, 3) rule, each
     through the middle of a random cell of the mesh the rule left, and the
@@ -237,9 +298,10 @@ def _wsplit_lines(rng, n_lines):
 
 
 def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
-    """A history replays on its cell list: whatever its length, only the
-    meshes that are returned or weighed are built.  It keeps its replay, so
-    each event is split once however often the history is replayed."""
+    """A history replays on its cell list, and the weighted rule weighs on
+    its spans: whatever its length or its hops, only the meshes that are
+    returned are built.  It keeps its replay, so each event is split once
+    however often the history is replayed."""
     real_build, real_analyze = hierarchy.build_mesh, hierarchy.analyze_segments
     real_split = hierarchy._split
     built, analysed, split = [], [], []
@@ -272,11 +334,13 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
         assert run(lambda: t.split_cell(mesh, None, cell.id, "h", (cell.y0 + cell.y1) / 2)) == (1, 1)
         for cell in mesh.cells[:8]:
             trial = history.copy()
+            analysed.clear()
             count = run(lambda: t.weighted_split(
                 mesh, trial, cell.id, "v", (cell.x0 + cell.x1) / 2, (1, 1), (2, 2), 3, 3
             ))
             appended = len(trial.events) - len(history.events)
-            assert count == (appended, n_splits + appended)  # a copy replays anew
+            assert count == (1, n_splits + appended)  # a copy replays anew
+            assert len(analysed) == 1  # to find the returned segment
             assert run(lambda: new_isolated_segment_count(trial)) == (0, 0)
             hops += appended - 1
     assert hops > 0  # extension hops are counted too
@@ -285,10 +349,12 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
     assert len(expanded.events) > len(lines.events)
     built.clear()
     split.clear()
+    analysed.clear()
     mesh, applied = t.apply_history(lines, (1, 1), (2, 2))
     assert applied == expanded
-    # one mesh per event, and the initial one that the first wsplit weighs
-    assert (len(built), len(split)) == (len(expanded.events) + 1, len(expanded.events))
+    # the one mesh returned, whatever the number of lines and hops
+    assert (len(built), len(split)) == (1, len(expanded.events))
+    assert analysed == []
     analysis = t.analyze_segments(mesh)
     assert run(lambda: t.appearance_ordering(applied, analysis)) == (0, 0)
     assert run(lambda: new_isolated_segment_count(applied)) == (0, 0)
@@ -367,17 +433,17 @@ def test_kept_replay_matches_a_fresh_replay(change, seed, n_splits, calls, pick)
         original, history = history, history.copy()
         history.events.append(t.SplitEvent(cell.id, "h", (cell.y0 + cell.y1) / 2))
     else:
-        weighed, x, smooth = mesh, (cell.x0 + cell.x1) / 2, (1, 1)
+        weighed, x, degree = mesh, (cell.x0 + cell.x1) / 2, (2, 2)
         if change == "on-boundary":
             expected, x = CoordinateOnCellBoundary, cell.x0
         elif change == "mismatch":
             expected, weighed = HistoryMismatch, t.SubdivisionHistory(initial, events[:-1]).replay()
             cell = weighed.cells[0]
             x = (cell.x0 + cell.x1) / 2
-        else:  # the rule splits before it checks the orders, then raises
-            expected, smooth = ValueError, (-1, -1)
+        else:  # the rule reads the degree only to weigh, after its own splits
+            expected, degree = TypeError, None
         try:
-            t.weighted_split(weighed, history, cell.id, "v", x, smooth, (2, 2), 3, 3)
+            t.weighted_split(weighed, history, cell.id, "v", x, (1, 1), degree, 3, 3)
         except expected:
             assert history.initial is initial
             assert len(history.events) == len(events) and all(map(operator.is_, history.events, events))
@@ -398,18 +464,40 @@ def test_kept_replay_matches_a_fresh_replay(change, seed, n_splits, calls, pick)
 
 def test_failed_weighted_split_starts_a_new_replay():
     """The rule's own splits stay in the kept replay when it raises after
-    them, so the replay is then longer than the history and starts over."""
+    them, so the replay is then longer than the history and starts over.
+    Bad orders raise before the first split; a degree is read only to weigh
+    an interior segment, so a missing one raises after the split."""
     grid, hist = grid3x3_history()
     events = list(hist.events)
     center = cell_containing(grid, F(3, 2), F(3, 2))
-    with pytest.raises(ValueError, match="nonnegative"):
-        t.weighted_split(grid, hist, center.id, "v", F(4, 3), (-1, -1), (2, 2), 3, 3)
+    with pytest.raises(TypeError):
+        t.weighted_split(grid, hist, center.id, "v", F(4, 3), (1, 1), None, 3, 3)
     assert hist.events == events
     assert len(hist._kept.events) == len(events) + 1
     assert sorted(hist.replay().cell_rects()) == sorted(grid.cell_rects())
     assert hist._kept.events == events
     out = t.weighted_split(grid, hist, center.id, "v", F(4, 3), (1, 1), (2, 2), 3, 3)
     assert sorted(hist.replay().cell_rects()) == sorted(out.mesh.cell_rects())
+
+
+@pytest.mark.parametrize("orders, error", [((-1, 0), ValueError), ((0, -1), ValueError), ((1.0, 1), TypeError)])
+@pytest.mark.parametrize("where", ["boundary", "interior"])
+def test_weighted_split_checks_the_orders_before_it_splits(where, orders, error):
+    # The orders are read only to weigh an interior segment, but a bad one
+    # is refused before the first split, wherever the new segment ends.
+    if where == "boundary":
+        mesh, hist = t.initial_mesh(0, 0, 4, 4)
+        cell, x = 0, 2
+    else:
+        mesh, hist = grid3x3_history()
+        cell, x = cell_containing(mesh, F(3, 2), F(3, 2)).id, F(4, 3)
+    events = list(hist.events)
+    kept = hist._replayed()
+    for given in (mesh, None):
+        with pytest.raises(error):
+            t.weighted_split(given, hist, cell, "v", x, orders, (2, 2), 3, 3)
+        assert hist.events == events
+        assert hist._kept is kept and kept.events == events and len(kept.rects) == len(events) + 1
 
 
 def test_weighted_split_takes_constant_smoothness_only():

@@ -5,7 +5,9 @@ Each was part of the package until nothing in it read the routine any more.
 The tests check the paper's statements with them: the surjectivity of the
 vertex-level quotient map, the shifted-power dimension count against its
 brute force, the weighted-mesh predicate, the isolated-segment slack of the
-hierarchical bound, and the exactness certificate from an ordering.
+hierarchical bound, and the exactness certificate from an ordering.  The
+weighted subdivision rule on one built and analysed mesh per hop is the
+reference for the rule read off the replay's spans.
 """
 
 from fractions import Fraction
@@ -13,10 +15,14 @@ from math import comb, lcm
 
 from tsplinedim.dimension import _certificate, h_upper_bound
 from tsplinedim.errors import DegreeOutOfRange, DuplicatePoints
+from tsplinedim.hierarchy import (
+    BOUNDARY_REACHING, EXTENDED_MIS, NEW_MIS, SplitEvent, SplitOutcome, _extension_target,
+)
 from tsplinedim.linalg import rational_rank
-from tsplinedim.mesh import HORIZONTAL, VERTICAL, as_fraction
+from tsplinedim.mesh import HORIZONTAL, VERTICAL, as_fraction, build_mesh
 from tsplinedim.oracle import _shifted_power
-from tsplinedim.segments import segment_weight
+from tsplinedim.segments import analyze_segments, segment_weight
+from tsplinedim.smoothness import constant_distribution
 
 
 def d1_full_row_rank(mesh, dist, degree):
@@ -166,3 +172,42 @@ def exactness_certificate(analysis, dist, degree, ordering, history=None):
     """The exactness certificate of the defect bound under ``ordering``, as
     ``dimension_bounds`` finds it for the ordering it chooses."""
     return _certificate(analysis, dist, degree, h_upper_bound(analysis, dist, degree, ordering), history)
+
+
+def weighted_split_by_meshes(mesh, history, cell_id, direction, coord, smoothness, degree, k, kp):
+    """``hierarchy.weighted_split`` with a mesh, weighing each hop on a
+    built and analysed mesh: the constant distribution bound to it, the
+    appearance ordering of the replay and ``segment_weight``."""
+    r, rp = smoothness
+    events = [SplitEvent(cell_id, direction, as_fraction(coord))]
+    state = history._replayed()
+    state.check(mesh)
+    threshold = k if direction == HORIZONTAL else kp
+    inserted = 0
+    at_hi = True
+    while True:
+        coord, lo, hi = state.split(events[-1])
+        inserted += hi - lo
+        mesh = build_mesh(state.rects)
+        analysis = analyze_segments(mesh)
+        segment = next(
+            s for s in analysis.segments
+            if s.direction == direction and s.coord == coord and s.lo <= lo and hi <= s.hi
+        )
+        if not segment.interior:
+            break
+        dist = constant_distribution(mesh, r, rp)
+        ordering = state.ordering(analysis)
+        if segment_weight(analysis, dist, degree, ordering, segment.id).weight >= threshold:
+            break
+        target = _extension_target(state.rects, (direction, coord), segment.hi if at_hi else segment.lo, at_hi)
+        events.append(SplitEvent(target, direction, coord))
+        at_hi = not at_hi
+    history.events.extend(events)
+    if not segment.interior:
+        classification = BOUNDARY_REACHING
+    elif segment.hi - segment.lo == inserted:
+        classification = NEW_MIS
+    else:
+        classification = EXTENDED_MIS
+    return SplitOutcome(mesh, segment, classification)
