@@ -7,7 +7,6 @@ engine implements the weighted refinement rule that makes the two coincide.
 """
 
 from .dimension import (
-    CERT_HIERARCHICAL,
     CERT_NO_MIS,
     CERT_NONE,
     CERT_ORACLE,

@@ -22,13 +22,13 @@ from .formats import (
     parse_tmesh,
     parse_tsub,
 )
-from .mesh import check_counting_identities, stats as mesh_stats
+from .mesh import ascii_int, check_counting_identities, stats as mesh_stats
 from .segments import analyze_segments, blocking, segment_weight
 from .svg import render_svg
 
 
 def nonnegative_int(text):
-    value = int(text)
+    value = ascii_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value

@@ -22,7 +22,6 @@ SEARCH_LIMIT = 14  # exact ordering minimization up to this many interior segmen
 CERT_NO_MIS = "no-MIS"
 CERT_WEIGHTED = "weighted"
 CERT_SMALL_WEIGHTS = "small-weights-equality"
-CERT_HIERARCHICAL = "hierarchical-degree"
 CERT_ORACLE = "oracle"
 CERT_NONE = "none"
 
@@ -177,13 +176,25 @@ class Certificate(NamedTuple):
     h: int | None  # exact defect when the certificate pins it
 
 
-def _certificate(analysis, dist, degree, bound, history):
+def _certificate(analysis, degree, bound):
     """Strongest applicable exactness statement for the defect, read from
     the segment weights already held in ``bound``.
 
     In order: no interior segments; (m+1, n+1)-weighted; all weights small
-    enough that the bound is attained; hierarchical mesh with constant
-    smoothness and degrees at least 2r+1.  Otherwise "none".
+    enough that the bound is attained.  Otherwise "none".
+
+    The paper's hierarchical result needs no certificate of its own: on a
+    mesh built by a split history, under constant smoothness (r, r') with
+    m >= 2r+1 and n >= 2r'+1, the appearance ordering makes ``weighted``
+    fire.  Let sigma be an interior segment and e its birth, the first event
+    whose edge lies in sigma.  That edge crosses the cell e split, so each
+    of its two ends p lies strictly inside a side of that cell, and that
+    side is initial boundary or made of spans inserted before e.  So the
+    segment across sigma at p is not interior, or was born before e and
+    ranks below sigma; no other segment passes through p, so p is counted.
+    The weight of sigma is then at least 2(m - r) >= m + 1 (horizontal) or
+    2(n - r') >= n + 1 (vertical).  ``--ordering search`` replaces that
+    ordering only by one whose bound is strictly below 0, and there is none.
     """
     m, n = degree
     if not analysis.mis:
@@ -197,12 +208,6 @@ def _certificate(analysis, dist, degree, bound, history):
         return Certificate(CERT_WEIGHTED, 0)
     if all(e <= 0 for e in excess):
         return Certificate(CERT_SMALL_WEIGHTS, bound.total)
-    if history is not None:
-        constant = dist.is_constant()
-        if constant is not None:
-            r, rp = constant
-            if m >= 2 * r + 1 and n >= 2 * rp + 1:
-                return Certificate(CERT_HIERARCHICAL, 0)
     return Certificate(CERT_NONE, None)
 
 
@@ -270,7 +275,7 @@ def dimension_bounds(mesh, dist, degree, ordering_policy="auto", history=None, a
         analysis = analyze_segments(mesh)
     ordering, bound = _choose_ordering(analysis, dist, degree, ordering_policy, history)
     term = combinatorial_term(mesh, dist, degree)
-    certificate = _certificate(analysis, dist, degree, bound, history)
+    certificate = _certificate(analysis, degree, bound)
     if certificate.h is not None:
         h_lo = h_hi = certificate.h
     else:

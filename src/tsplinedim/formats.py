@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .errors import BadRational, MeshError, TmeshSyntaxError, UnknownDirective, UnknownNode
 from .hierarchy import SplitEvent, SubdivisionHistory, weighted_split
-from .mesh import _mesh, as_fraction, build_mesh, lattice, to_lattice
+from .mesh import _mesh, as_fraction, ascii_int, build_mesh, lattice, to_lattice
 from .smoothness import SmoothnessDistribution, constant_distribution
 
 
@@ -45,7 +45,7 @@ def _token_reader():
 
 def _parse_int(token, line):
     try:
-        return int(token)
+        return ascii_int(token)
     except ValueError as exc:
         raise TmeshSyntaxError(f"expected an integer, got {token!r}", line) from exc
 

@@ -57,16 +57,28 @@ def as_fraction(value):
 
     A float is refused: it would silently become its binary expansion.  So is
     an exponent, before ``Fraction`` runs: a short string like ``"1e99999999"``
-    would make it build a huge integer first.
+    would make it build a huge integer first.  So are ``_`` separators and
+    non-ASCII digits, which ``Fraction`` reads too (see ``ascii_int``).
     """
     if isinstance(value, float):
         raise TypeError(f"coordinate {value!r} is a float; pass an int, a Fraction or a string")
-    if isinstance(value, str) and ("e" in value or "E" in value):
-        raise ValueError(f"cannot parse rational {value!r}: exponents are not allowed")
+    if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"cannot parse rational {value!r}: exponents are not allowed")
+        if "_" in value or not value.isascii():
+            raise ValueError(f"cannot parse rational {value!r}: digits must be ASCII, without '_'")
     try:
         return value if isinstance(value, Fraction) else Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational {value!r}") from exc
+
+
+def ascii_int(text):
+    """``int(text)`` for ASCII digits only: ``int`` alone also reads ``1_0``
+    as 10 and an Arabic-Indic or full-width digit as its value."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"invalid integer {text!r}: digits must be ASCII, without '_'")
+    return int(text)
 
 
 class Vertex(NamedTuple):

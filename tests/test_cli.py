@@ -218,6 +218,26 @@ def test_negative_degree_is_a_usage_error(argv, ex51_file, tmp_path, capsys):
     assert "must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "{mesh}", "-m", "\u0661", "-n", "2", "--smooth", "1,1"],
+        ["mis", "{mesh}", "-m", "2", "-n", "2", "--smooth", "1_0,1"],
+        ["subdivide", "{history}", "-m", "2", "-n", "1_0", "--smooth", "1,1", "--weighted", "3,3"],
+        ["subdivide", "{history}", "-m", "2", "-n", "2", "--smooth", "1,1", "--weighted", "3,\uff13"],
+    ],
+)
+def test_integer_flags_take_ascii_digits_only(argv, ex51_file, tmp_path, capsys):
+    # int() alone reads "1_0" as 10 and any Unicode digit as its value.
+    history = tmp_path / "h.tsub"
+    history.write_text("tsub 1\ninit 0 0 2 2\nsplit 0 v 1\n")
+    argv = [a.format(mesh=ex51_file, history=history) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_missing_history_file_is_a_usage_error(ex51_file, tmp_path, capsys):
     missing = tmp_path / "missing.tsub"
     argv = ["dim", ex51_file, "-m", "2", "-n", "2", "--smooth", "1,1", "--history", str(missing)]
@@ -381,13 +401,27 @@ _HOSTILE_TMESH = {
     "smooth-non-node": "cell 0 0 1 1\ncell 1 0 2 1\ndefault-smooth 1 1\nsmooth h 7 1\nsmooth v 1/2 1",
     "negative-order": "cell 0 0 1 1\ncell 1 0 2 1\nsmooth h 1 -1",
     "negative-default": "cell 0 0 1 1\ndefault-smooth -1 0",
+    # int() and Fraction() read digit separators and any Unicode digit.
+    "underscore-order": "cell 0 0 1 1\ncell 1 0 2 1\nsmooth h 1 1_0",
+    "underscore-rational": "cell 0 0 1_000/3 1",
+    "non-ascii-digits": "cell \u0660 \u0660 \u0661 \u0661",
+    "full-width-default": "cell 0 0 1 1\ndefault-smooth \uff11 1",
+}
+
+# Texts whose tokens only int() or Fraction() would read: every command
+# refuses each with this error on this line.
+_LENIENT_TOKENS = {
+    "underscore-order": ("TmeshSyntaxError", "line 4: "),
+    "underscore-rational": ("BadRational", "line 2: "),
+    "non-ascii-digits": ("BadRational", "line 2: "),
+    "full-width-default": ("TmeshSyntaxError", "line 3: "),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_HOSTILE_TMESH))
 def test_hostile_tmesh_texts_exit_cleanly(name, tmp_path, capsys):
     path = tmp_path / f"{name}.tmesh"
-    path.write_text(f"tmesh 1\n{_HOSTILE_TMESH[name]}\n")
+    path.write_text(f"tmesh 1\n{_HOSTILE_TMESH[name]}\n", encoding="utf-8")
     space = ["-m", "2", "-n", "2"]
     argvs = [["validate"], ["validate", "--json"], ["stats"], ["stats", "--json"], ["svg"]]
     for smooth in ([], ["--smooth", "1,1"]):
@@ -402,6 +436,9 @@ def test_hostile_tmesh_texts_exit_cleanly(name, tmp_path, capsys):
         out = capsys.readouterr().out
         if code == 1:
             assert out.count("\n") == 1, (argv, out[:200])
+        if name in _LENIENT_TOKENS:
+            error, line = _LENIENT_TOKENS[name]
+            assert code == 1 and error in out and line in out, (argv, out)
 
 
 def test_svg_names_node_lines_that_print_alike(tmp_path, capsys):

@@ -18,6 +18,7 @@ from meshgen import (
     grid3x3_history,
     grid_history,
     grid_mesh,
+    mapped_history,
     pinwheel_mesh,
     random_history,
     random_mesh,
@@ -208,7 +209,7 @@ def test_certificates():
     a19 = t.analyze_segments(mesh19)
     dist19 = t.constant_distribution(mesh19, 1, 1)
     order19 = t.appearance_ordering(hist19, a19)
-    cert33 = exactness_certificate(a19, dist19, (3, 3), order19, hist19)
+    cert33 = exactness_certificate(a19, dist19, (3, 3), order19)
     assert cert33.name == t.CERT_WEIGHTED and cert33.h == 0  # weights 4,4,6,6 >= 4
 
 
@@ -221,32 +222,42 @@ def test_hierarchical_degree_certificate():
         a = t.analyze_segments(mesh)
     dist = t.constant_distribution(mesh, 1, 1)
     order = t.appearance_ordering(hist, a)
-    cert = exactness_certificate(a, dist, (3, 3), order, hist)
-    assert cert.h == 0  # weighted or hierarchical-degree, both exact
+    cert = exactness_certificate(a, dist, (3, 3), order)
+    assert cert == t.dimension.Certificate(t.CERT_WEIGHTED, 0)  # m = 3 >= 2r + 1
     assert t.h_exact(mesh, dist, (3, 3)) == 0
 
 
-def test_hierarchical_degree_certificate_fires_on_mixed_weights():
-    # With m >= 2r + 1 and n >= 2r' + 1 a hierarchical mesh has defect 0.
-    # Under the canonical ordering some weights fall below (m + 1, n + 1)
-    # and some exceed it, so only the history certifies h = 0.
-    rng = random.Random(8)
-    found = 0
-    for _ in range(12):
-        history, rects = random_history(rng, 10)
-        mesh = t.build_mesh(rects)
-        a = t.analyze_segments(mesh)
-        dist = t.constant_distribution(mesh, 1, 1)
-        canonical = t.Ordering({sid: i + 1 for i, sid in enumerate(sorted(a.mis))}, "canonical")
-        excess = [p.weight - 4 for p in t.h_upper_bound(a, dist, (3, 3), canonical).per_segment]
-        if not (min(excess, default=0) < 0 < max(excess, default=0)):
-            continue
-        found += 1
-        cert = exactness_certificate(a, dist, (3, 3), canonical, history)
-        assert cert == t.dimension.Certificate(t.CERT_HIERARCHICAL, 0)
-        assert exactness_certificate(a, dist, (3, 3), canonical).name == t.CERT_NONE
-        assert t.h_via_mis_presentation(mesh, dist, (3, 3)) == 0
-    assert found >= 2
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0),
+    st.booleans(),
+    st.booleans(),
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+)
+def test_hierarchical_meshes_are_weighted(seed, transpose, reflect, orders):
+    # Under the appearance ordering each end of an interior segment's first
+    # edge is counted: the segment across it there is boundary or older.  So
+    # with constant (r, r'), m >= 2r + 1 and n >= 2r' + 1 every weight
+    # reaches 2(m - r) >= m + 1 (or 2(n - r') >= n + 1), and the hierarchical
+    # theorem is the `weighted` certificate.
+    rng = random.Random(seed)
+    history, _ = random_history(rng, rng.randrange(40), rng.choice((1, 4)), rng.choice((1, 3)))
+    if transpose:
+        history = mapped_history(history, transpose=True)
+    if reflect:
+        history = mapped_history(history, transpose=False)
+    mesh = history.replay()
+    r, rp, dm, dn = orders
+    degree = (2 * r + 1 + dm, 2 * rp + 1 + dn)
+    dist = t.constant_distribution(mesh, r, rp)
+    a = t.analyze_segments(mesh)
+    appearance = t.appearance_ordering(history, a)
+    for sid in a.mis:
+        assert t.segment_weight(a, dist, degree, appearance, sid).count >= 2
+    for policy in ("auto", "search"):
+        report = t.dimension_bounds(mesh, dist, degree, policy, history)
+        assert report.certificate in (t.CERT_WEIGHTED, t.CERT_NO_MIS)
+        assert (report.h_lower, report.h_upper) == (0, 0)
 
 
 def test_dimension_bounds_reports():
@@ -354,7 +365,7 @@ def test_certificate_soundness_against_oracle():
         dist = t.constant_distribution(mesh, r, rp)
         a = t.analyze_segments(mesh)
         order = t.appearance_ordering(hist, a)
-        cert = exactness_certificate(a, dist, (m, n), order, hist)
+        cert = exactness_certificate(a, dist, (m, n), order)
         if cert.h is not None:
             assert t.h_exact(mesh, dist, (m, n)) == cert.h
 

@@ -314,6 +314,29 @@ def test_exponent_tokens_are_refused_quickly():
         assert info.value.line == 2
 
 
+def test_digit_separators_and_non_ascii_digits_are_refused():
+    # int() and Fraction() read "1_0" as 10 and any Unicode digit as its
+    # value; the grammar has ASCII digits only, so the token is refused on
+    # its line.
+    for text, parse, error, line in (
+        ("tmesh 1\ncell 0 0 1 1\nsmooth h 1 1_0\n", parse_tmesh, TmeshSyntaxError, 3),
+        ("tmesh 1\ncell 0 0 1 1\ndefault-smooth \uff11 1\n", parse_tmesh, TmeshSyntaxError, 3),
+        ("tmesh 1\ncell \u0660 \u0660 \u0661 \u0661\n", parse_tmesh, BadRational, 2),
+        ("tmesh 1\ncell 0 0 1_000/3 1\n", parse_tmesh, BadRational, 2),
+        ("tsub 1\ninit 0 0 3 3\nwsplit 1 h 2 3 3_0\n", parse_tsub, TmeshSyntaxError, 3),
+        ("tsub 1\ninit 0 0 3 3\nsplit \u0660 h 2\n", parse_tsub, TmeshSyntaxError, 3),
+        ("tsub 1\ninit 0 0 3 3\nsplit 0 h 3_0/2\n", parse_tsub, BadRational, 3),
+    ):
+        with pytest.raises(error) as info:
+            parse(text)
+        assert info.value.line == line
+    for token in ("1_0", "\u0661", "1/\u0663", "0.\uff15"):
+        with pytest.raises(ValueError):
+            t.mesh.as_fraction(token)
+        with pytest.raises(ValueError):
+            t.mesh.ascii_int(token)
+
+
 def test_per_node_smoothness_resolution():
     text = EX51_TEXT + "smooth h 1 0\nsmooth v 1/2 2\n"
     doc = parse_tmesh(text)

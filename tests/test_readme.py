@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import tsplinedim
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
 RESULT = re.compile(r"^print\(.*\)\s+# (.*)$")
@@ -29,3 +31,10 @@ def test_a_readme_example_prints_its_result_comments(index):
     with contextlib.redirect_stdout(out):
         exec(compile(block, f"README.md python block {index + 1}", "exec"), {})
     assert expected and out.getvalue().splitlines() == expected
+
+
+def test_the_readme_lists_exactly_the_exported_certificates():
+    table = re.search(r"^\| certificate \|.*\n((?:\|.*\n)+)", README.read_text(encoding="utf-8"), re.M)
+    listed = re.findall(r"^\| `([^`]+)` \|", table[1], re.M)
+    exported = {getattr(tsplinedim, name) for name in dir(tsplinedim) if name.startswith("CERT_")}
+    assert sorted(listed) == sorted(exported)

@@ -168,10 +168,10 @@ def new_isolated_segment_count(history):
     )
 
 
-def exactness_certificate(analysis, dist, degree, ordering, history=None):
+def exactness_certificate(analysis, dist, degree, ordering):
     """The exactness certificate of the defect bound under ``ordering``, as
     ``dimension_bounds`` finds it for the ordering it chooses."""
-    return _certificate(analysis, dist, degree, h_upper_bound(analysis, dist, degree, ordering), history)
+    return _certificate(analysis, degree, h_upper_bound(analysis, dist, degree, ordering))
 
 
 def weighted_split_by_meshes(mesh, history, cell_id, direction, coord, smoothness, degree, k, kp):
