@@ -3,8 +3,6 @@
 Exit codes: 0 success, 1 validation/domain failure, 2 usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -1,8 +1,6 @@
 """Closed-form dimension results: the combinatorial term, shifted-power
 dimension counts, defect bounds, exactness certificates and the final report."""
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import DegreeOutOfRange, DuplicatePoints

@@ -21,7 +21,7 @@ class DisconnectedDomain(MeshError):
 
 
 class DomainNotSimplyConnected(MeshError):
-    """The cell union has a hole (Euler count or boundary walk failed)."""
+    """The cell union has a hole (Euler count failed)."""
 
 
 class DanglingGeometry(MeshError):

@@ -4,8 +4,6 @@ Rationals are printed as ``p/q`` (plain integer when q = 1) so files
 round-trip losslessly; ``#`` starts a comment anywhere on a line.
 """
 
-from __future__ import annotations
-
 import operator
 from typing import NamedTuple
 

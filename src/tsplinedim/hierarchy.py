@@ -9,8 +9,6 @@ each event is split once however often the history is replayed, ordered or
 weighed.
 """
 
-from __future__ import annotations
-
 import operator
 from bisect import insort
 from fractions import Fraction

@@ -8,8 +8,6 @@ followed by content removal, so no floating point and no tolerance enters
 anywhere.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter

@@ -11,6 +11,14 @@ denominators, and checks, sorts, keys and compares plain ints; the overlap
 check is a sort-and-sweep over y.  A parsed document hands over the lattice
 it was sorted on, so its cells are not scaled twice.
 
+Validation stops at the first failure, in this order: a coordinate that does
+not coerce, an empty list or a degenerate cell (``DegenerateCell``), an
+overlap (``OverlappingCells``), dual connectivity (``DisconnectedDomain``),
+the Euler count (``DomainNotSimplyConnected``), and per-vertex incidence
+anomalies (``DanglingGeometry``).  The last three imply that the boundary is
+one cycle and that every interior vertex has degree 3 or 4, so neither is
+checked again (see ``_mesh``).
+
 The edges come from one walk over the corners sorted by (y, x).  The corners
 on a horizontal line are a contiguous run of vertex ids, and those on a
 vertical line a contiguous run of one column-ordered list of the ids, so
@@ -23,8 +31,6 @@ positions in ``nodes_x``/``nodes_y``.  Work that depends only on the lines
 through a face, such as the combinatorial term or grouping collinear edges
 into maximal segments, runs on those ints.
 """
-
-from __future__ import annotations
 
 import math
 from bisect import bisect_left
@@ -296,7 +302,25 @@ def build_mesh(rectangles):
 
 def _mesh(rects, grid):
     """The TMesh of the ``Fraction`` rects, given on the integer lattice as
-    ``grid`` (see ``to_lattice``), in the same order."""
+    ``grid`` (see ``to_lattice``), in the same order.
+
+    Past the cell and overlap checks, a mesh is valid when it is
+    dual-connected, has Euler count f2 - f1o + f0o = 1 and has no incidence
+    anomaly: every boundary vertex has exactly two boundary edges.  These
+    three imply the two properties below, so neither is checked.
+
+    * One boundary cycle.  Each boundary vertex has two boundary edges, so
+      the boundary edges form b disjoint cycles and f1b = f0b.  Then
+      f2 - f1o + f0o = f2 - f1 + f0 is the Euler characteristic of the cell
+      union.  That union is connected (dual connectivity) and a surface
+      (no pinch), and it lies in the plane with b boundary circles, so its
+      Euler characteristic is 2 - b.  The Euler check forces b = 1.
+    * Interior degree 3 or 4.  An interior vertex is a corner of some cell,
+      and both of that corner's sides start with interior edges.  The cell
+      across either side adds a third edge at the vertex: its own side at
+      its corner there, or the continuation of its side through the vertex.
+      No direction holds two edges, so the degree is 3 or 4.
+    """
     if not rects:
         raise DegenerateCell("cell list is empty")
     _check_cells(rects, grid)
@@ -409,7 +433,8 @@ def _mesh(rects, grid):
 
     # Classify vertices; incidence anomalies are reported only after the
     # connectivity and Euler checks, which give more specific errors.  Every
-    # vertex is a cell corner, so it has an edge in each direction.
+    # vertex is a cell corner, so it has an edge in each direction, and an
+    # interior one has degree 3 or 4 (see the docstring).
     vertices = []
     anomalies = []
     f0o = 0
@@ -420,13 +445,7 @@ def _mesh(rects, grid):
             kind = CORNER if (h_ends and v_ends) else BOUNDARY
         else:
             f0o += 1
-            if degree == 4:
-                kind = CROSSING
-            elif degree == 3:
-                kind = T_VERTEX
-            else:
-                anomalies.append(f"interior vertex ({x}, {y}) has degree {degree}")
-                kind = T_VERTEX
+            kind = CROSSING if degree == 4 else T_VERTEX
         vertices.append(Vertex(vid, x, y, kind))
     vertices = tuple(vertices)
     cells = tuple(Cell(ci, *rect) for ci, rect in enumerate(rects))
@@ -456,8 +475,6 @@ def _mesh(rects, grid):
     if anomalies:
         raise DanglingGeometry("; ".join(anomalies))
 
-    _walk_boundary(edges)
-
     return TMesh(
         cells,
         edges,
@@ -468,31 +485,6 @@ def _mesh(rects, grid):
         vertex_xline,
         vertex_yline,
     )
-
-
-def _walk_boundary(edges):
-    """Walk the boundary edges once round; raise unless they form one cycle."""
-    boundary = [e for e in edges if not e.interior]
-    at_vertex: dict[int, list[int]] = {}
-    for e in boundary:
-        at_vertex.setdefault(e.start, []).append(e.id)
-        at_vertex.setdefault(e.end, []).append(e.id)
-    start_vertex = min(at_vertex)
-    walked = 0
-    prev_vertex = start_vertex
-    edge = edges[min(at_vertex[start_vertex])]
-    while True:
-        walked += 1
-        nxt = edge.end if edge.start == prev_vertex else edge.start
-        if nxt == start_vertex:
-            break
-        candidates = [i for i in at_vertex[nxt] if i != edge.id]
-        if len(candidates) != 1:
-            raise DanglingGeometry(f"boundary walk stuck at vertex {nxt}")
-        prev_vertex = nxt
-        edge = edges[candidates[0]]
-    if walked != len(boundary):
-        raise DomainNotSimplyConnected("boundary edges form more than one cycle")
 
 
 def stats(mesh):

@@ -15,8 +15,6 @@ coordinates: the kernel is the definition of the space, and the tests check
 the other routes and the combinatorial formulas against it.
 """
 
-from __future__ import annotations
-
 from math import comb
 
 from .dimension import combinatorial_term

@@ -1,7 +1,5 @@
 """Maximal segments, the interior subset, blocking, orderings and weights."""
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple
 

@@ -9,8 +9,6 @@ degree are legal; every dimension formula truncates with ``min`` so the
 constraint simply saturates.
 """
 
-from __future__ import annotations
-
 import operator
 from typing import NamedTuple
 

@@ -1,7 +1,5 @@
 """Deterministic SVG rendering of meshes and their interior segments."""
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .errors import CoordinateOutOfRange

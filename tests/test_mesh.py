@@ -26,7 +26,6 @@ from tsplinedim.mesh import (
     _mesh,
     _normalize_rects,
     _sweep_finds_overlap,
-    _walk_boundary,
 )
 from tsplinedim.errors import (
     DanglingGeometry,
@@ -43,8 +42,11 @@ from meshgen import (
     _SORT_KEY,
     PINWHEEL_CELLS,
     RING_CELLS,
+    _reflected,
+    _transposed,
     ex11_mesh,
     ex51_mesh,
+    grid_cells,
     grid_mesh,
     random_mesh,
     spaces,
@@ -488,6 +490,35 @@ def test_records_refuse_assignment_and_stay_hashable():
         assert len(set(records)) == len(records)
 
 
+def _walk_boundary(edges):
+    """Walk the boundary edges once round; raise unless they form one cycle.
+
+    ``_mesh`` proves this walk cannot fail once its other checks pass (see
+    its docstring); the reference build keeps it as the witness.
+    """
+    boundary = [e for e in edges if not e.interior]
+    at_vertex: dict[int, list[int]] = {}
+    for e in boundary:
+        at_vertex.setdefault(e.start, []).append(e.id)
+        at_vertex.setdefault(e.end, []).append(e.id)
+    start_vertex = min(at_vertex)
+    walked = 0
+    prev_vertex = start_vertex
+    edge = edges[min(at_vertex[start_vertex])]
+    while True:
+        walked += 1
+        nxt = edge.end if edge.start == prev_vertex else edge.start
+        if nxt == start_vertex:
+            break
+        candidates = [i for i in at_vertex[nxt] if i != edge.id]
+        if len(candidates) != 1:
+            raise DanglingGeometry(f"boundary walk stuck at vertex {nxt}")
+        prev_vertex = nxt
+        edge = edges[candidates[0]]
+    if walked != len(boundary):
+        raise DomainNotSimplyConnected("boundary edges form more than one cycle")
+
+
 def _mesh_by_fragments(rects, grid):
     """Reference build: every cell side cut at the corners on its line, the
     fragments keyed by (direction, line, span) in a dict, each fragment's
@@ -650,15 +681,61 @@ def _build_outcome(build, cells):
     return _record_text(mesh) + "\n" + _line_text(mesh)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(_corrupted_tilings(), _rect_sets()))
+# The messages of the reference's boundary walk and of its interior-degree
+# anomaly: `_mesh` proves both checks redundant and no longer makes them.
+_UNREACHABLE = ("boundary walk stuck", "more than one cycle", "interior vertex")
+
+
+def _checked_outcome(cells):
+    """``_mesh``'s outcome on ``cells``, after checking that the reference
+    build agrees and never fails a check that ``_mesh`` proves redundant."""
+    got = _build_outcome(_mesh, cells)
+    reference = _build_outcome(_mesh_by_fragments, cells)
+    assert got == reference
+    assert not any(message in reference for message in _UNREACHABLE), reference
+    return got
+
+
+def _integer_splits(rng, n_splits):
+    """The cells of ``n_splits`` random splits of [0, 8]^2 at integer cuts."""
+    rects = [(0, 0, 8, 8)]
+    for _ in range(n_splits):
+        x0, y0, x1, y1 = rect = rng.choice([r for r in rects if r[2] - r[0] > 1 or r[3] - r[1] > 1])
+        rects.remove(rect)
+        if x1 - x0 > 1 and (y1 - y0 == 1 or rng.random() < 0.5):
+            c = rng.randrange(x0 + 1, x1)
+            rects += [(x0, y0, c, y1), (c, y0, x1, y1)]
+        else:
+            c = rng.randrange(y0 + 1, y1)
+            rects += [(x0, y0, x1, c), (x0, c, x1, y1)]
+    return rects
+
+
+def _hostile_cells(rng):
+    """A random subset of an n x m integer grid or of an integer split mesh,
+    transposed, reflected and shuffled at random: often disconnected,
+    holed or pinched."""
+    if rng.random() < 0.5:
+        rects, keep = grid_cells(rng.randint(2, 6), rng.randint(2, 6)), rng.uniform(0.5, 0.95)
+    else:
+        rects, keep = _integer_splits(rng, rng.randint(3, 25)), rng.uniform(0.6, 0.97)
+    cells = [rect for rect in rects if rng.random() < keep] or rects[:1]
+    if rng.random() < 0.5:
+        cells = [_transposed(rect) for rect in cells]
+    if rng.random() < 0.5:
+        cells = [_reflected(rect) for rect in cells]
+    rng.shuffle(cells)
+    return cells
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_corrupted_tilings(), _rect_sets(), st.integers(0, 2**32 - 1).map(random.Random).map(_hostile_cells)))
 def test_corner_walk_matches_the_fragment_reference(cells):
-    assert _build_outcome(_mesh, cells) == _build_outcome(_mesh_by_fragments, cells)
+    _checked_outcome(cells)
 
 
 def test_corner_walk_matches_the_fragment_reference_on_named_and_larger_meshes():
-    # The named meshes include the hole and the pinched corner, which the
-    # property above does not reach; the random ones have up to 60 splits.
+    # The random ones have up to 60 splits.
     rng = random.Random(20101)
     cases = [EX11_CELLS, EX51_CELLS, PINWHEEL_CELLS, L_CELLS, RING_CELLS, PINCHED_CELLS]
     for _ in range(20):
@@ -667,4 +744,15 @@ def test_corner_walk_matches_the_fragment_reference_on_named_and_larger_meshes()
         rng.shuffle(cells)
         cases.append(cells)
     for cells in cases:
-        assert _build_outcome(_mesh, cells) == _build_outcome(_mesh_by_fragments, cells)
+        _checked_outcome(cells)
+
+
+def test_hostile_topology_sweep_reaches_every_outcome():
+    # Subsets of grids and split meshes reach each topological failure, so
+    # the agreement above is tested where the proofs in `_mesh` matter.
+    rng = random.Random(28)
+    outcomes = set()
+    for _ in range(600):
+        outcome = _checked_outcome(_hostile_cells(rng))
+        outcomes.add("valid" if outcome.startswith("cell ") else outcome.split(":")[0])
+    assert outcomes == {"valid", "DisconnectedDomain", "DomainNotSimplyConnected", "DanglingGeometry"}

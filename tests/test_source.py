@@ -19,6 +19,22 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_module_postpones_its_annotations():
+    # Postponed annotations are strings, and typing.NamedTuple compiles a
+    # ForwardRef for each string field on import.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "__future__"
+            and any(a.name == "annotations" for a in node.names)
+        ]
+    assert found == []
+
+
 def test_no_true_division_in_mesh():
     # build_mesh and parse_tmesh compute on lattice ints, where `/` would
     # make a float.
