@@ -58,7 +58,6 @@ from .hierarchy import (
     SubdivisionHistory,
     appearance_ordering,
     initial_mesh,
-    split_cell,
     weighted_split,
 )
 from .linalg import SparseRationalMatrix, rational_rank
@@ -91,7 +90,6 @@ from .segments import (
 )
 from .smoothness import (
     ConstantSmoothness,
-    Degree,
     SmoothnessDistribution,
     constant_distribution,
     quotient_dims,

@@ -269,12 +269,12 @@ def cmd_subdivide(args, parser):
             parser.error("weighted subdivision needs --smooth, -m and -n")
         smoothness = _parse_pair(args.smooth, "--smooth", parser)
         degree = (args.m, args.n)
-    mesh, expanded = apply_history(history, smoothness, degree, rule)
+    cells, expanded = apply_history(history, smoothness, degree, rule)
     if args.emit_history:
         _write(args.emit_history, format_tsub(expanded), parser)
-    doc = MeshDocument.make([c.rect for c in mesh.cells])
+    doc = MeshDocument.make(cells)
     if args.json:
-        print(json.dumps({"cells": len(mesh.cells), "tmesh": format_tmesh(doc)}))
+        print(json.dumps({"cells": len(cells), "tmesh": format_tmesh(doc)}))
     else:
         sys.stdout.write(format_tmesh(doc))
     return 0

@@ -279,15 +279,20 @@ def format_tsub(history):
 
 
 def apply_history(history, smoothness=None, degree=None, rule=None):
-    """Execute a parsed history; returns (mesh, elementary history).
+    """Execute a parsed history; returns (cells, elementary history).
+
+    ``cells`` is a new list of the refined mesh's rectangles in canonical
+    order, equal to ``build_mesh(cells).cell_rects()``.  No mesh is built:
+    each split lies strictly inside one cell of a rectangle tiling and
+    replaces it by its two halves, so the cells always tile the initial
+    rectangle and ``build_mesh`` cannot fail on them.
 
     Plain splits are only recorded, and ``wsplit`` events run the weighted
-    rule on the expanded history's replay; the mesh is built once, at the
-    end.  ``wsplit`` events need ``smoothness`` and ``degree``.  When
-    ``rule`` is given, plain splits are run through the weighted rule with
-    that (k, k') as well.  The first bad event raises first: the plain
-    splits before a ``wsplit`` are replayed before its arguments are
-    checked.
+    rule on the expanded history's replay.  ``wsplit`` events need
+    ``smoothness`` and ``degree``.  When ``rule`` is given, plain splits are
+    run through the weighted rule with that (k, k') as well.  The first bad
+    event raises first: the plain splits before a ``wsplit`` are replayed
+    before its arguments are checked, and the rest at the end.
     """
     expanded = SubdivisionHistory(history.initial)
     for ev in history.events:
@@ -299,4 +304,4 @@ def apply_history(history, smoothness=None, degree=None, rule=None):
         if smoothness is None or degree is None:
             raise ValueError("weighted splits need a smoothness and a degree")
         weighted_split(None, expanded, ev.cell, ev.direction, ev.coord, smoothness, degree, *use_rule)
-    return expanded.replay(), expanded
+    return list(expanded._replayed().rects), expanded

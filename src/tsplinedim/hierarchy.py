@@ -233,22 +233,6 @@ class _Replay:
         return Ordering({sid: i + 1 for i, (_, sid) in enumerate(births)}, "appearance")
 
 
-def split_cell(mesh, history, cell_id, direction, coord):
-    """Split one cell along a horizontal or vertical line strictly inside it.
-
-    Existing edges met by the new segment's end points are re-fragmented by
-    the rebuild; the history (when given) records the elementary event.
-    """
-    event = SplitEvent(cell_id, direction, as_fraction(coord))
-    rects = mesh.cell_rects()
-    coord, lo, hi = _split(rects, event)
-    mesh = build_mesh(rects)
-    segment = _segment(mesh, (direction, coord), lo, hi)
-    if history is not None:
-        history.events.append(event)
-    return SplitOutcome(mesh, segment, _classify(segment.interior, segment.hi - segment.lo, hi - lo))
-
-
 def _extension_target(rects, line, end, at_hi):
     """Id of the cell entered when the segment on the line is prolonged past
     its end point ``end``, its high end when at_hi."""

@@ -54,6 +54,9 @@ def build_spline_system(mesh, dist, degree):
         offset, span = rows_per_edge[eid]
         low, high = e.cells
         a = e.coord.numerator if e.coord.denominator == 1 else e.coord
+        # u^j = (u - a + a)^j, so the coefficient of (u - a)^l in u^j is
+        # entry l of (u + a)^j, that is of (u - (-a))^j.
+        powers = [_shifted_power(-a, j) for j in range((n if e.horizontal else m) + 1)]
         # Each entry is written once: a row touches two different cells, and
         # inside one cell each j (or i) names a different monomial.
         for sign, cell in ((1, low), (-1, high)):
@@ -62,11 +65,11 @@ def build_spline_system(mesh, dist, degree):
                 # rows (i, l): coefficient of s^i (t-a)^l in the difference
                 for pos, (i, l) in enumerate(span):
                     for j in range(l, n + 1):
-                        matrix.set(offset + pos, base + i * (n + 1) + j, sign * comb(j, l) * a ** (j - l))
+                        matrix.set(offset + pos, base + i * (n + 1) + j, sign * powers[j][l])
             else:
                 for pos, (k, j) in enumerate(span):
                     for i in range(k, m + 1):
-                        matrix.set(offset + pos, base + i * (n + 1) + j, sign * comb(i, k) * a ** (i - k))
+                        matrix.set(offset + pos, base + i * (n + 1) + j, sign * powers[i][k])
     return matrix
 
 

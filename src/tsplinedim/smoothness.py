@@ -16,13 +16,6 @@ from .errors import UnknownNode
 from .mesh import HORIZONTAL, VERTICAL, Cell, Edge, Vertex, as_fraction
 
 
-class Degree(NamedTuple):
-    """Bidegree bound: ``m`` in s, ``n`` in t."""
-
-    m: int
-    n: int
-
-
 class SmoothnessDistribution:
     def __init__(self, mesh, r_h, r_v):
         # A vertical line at x carries r_h(x); a horizontal line at y, r_v(y).

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import tsplinedim as t
 from tsplinedim.hierarchy import SplitEvent, _split
 
+from witnesses import split_cell
+
 # Staircase domain with 7 cells: 12 corners, 3 boundary T-vertices, and an
 # interior chain at y=2 carrying two T-vertices and one crossing.  Matches
 # the reference example's published face counts exactly.
@@ -78,7 +80,7 @@ def vertex_at(mesh, x, y):
 def split_at(mesh, hist, px, py, direction, coord):
     """Split the cell whose interior contains (px, py)."""
     cell = cell_containing(mesh, px, py)
-    return t.split_cell(mesh, hist, cell.id, direction, coord)
+    return split_cell(mesh, hist, cell.id, direction, coord)
 
 
 def ex19():

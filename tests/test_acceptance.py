@@ -27,6 +27,7 @@ from witnesses import (
     exactness_certificate,
     is_weighted,
     new_isolated_segment_count,
+    split_cell,
 )
 
 
@@ -242,7 +243,7 @@ def test_c11_grids_and_monotonicity():
         cell = mesh.cells[rng.randrange(len(mesh.cells))]
         direction = rng.choice("hv")
         lo, hi = (cell.x0, cell.x1) if direction == "v" else (cell.y0, cell.y1)
-        refined = t.split_cell(mesh, None, cell.id, direction, (lo + hi) / 2).mesh
+        refined = split_cell(mesh, None, cell.id, direction, (lo + hi) / 2).mesh
         after = t.spline_dimension_exact(
             refined, t.constant_distribution(refined, r, rp), (m, n)
         )

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -26,8 +27,8 @@ from tsplinedim.formats import (
     parse_tsub,
 )
 
-from meshgen import EX11_CELLS, EX51_CELLS
-from witnesses import is_weighted
+from meshgen import EX11_CELLS, EX51_CELLS, mapped_history, random_history
+from witnesses import is_weighted, split_cell
 
 
 EX51_TEXT = """tmesh 1
@@ -363,10 +364,10 @@ def test_tsub_roundtrip_and_apply():
     text = "tsub 1\ninit 0 0 2 2\nsplit 0 v 1\nsplit 0 h 1/2\n"
     history = parse_tsub(text)
     assert history.initial == (F(0), F(0), F(2), F(2))
-    mesh, expanded = apply_history(history)
-    assert len(mesh.cells) == 3
+    cells, expanded = apply_history(history)
+    assert len(cells) == 3
     assert parse_tsub(format_tsub(expanded)).events == expanded.events
-    assert sorted(expanded.replay().cell_rects()) == sorted(mesh.cell_rects())
+    assert expanded.replay().cell_rects() == cells
 
 
 def test_tsub_weighted_lines():
@@ -380,7 +381,8 @@ def test_tsub_weighted_lines():
     history = parse_tsub(text)
     with pytest.raises(ValueError):
         apply_history(history)  # rule parameters need smoothness and degree
-    mesh, expanded = apply_history(history, smoothness=(1, 1), degree=(2, 2))
+    cells, expanded = apply_history(history, smoothness=(1, 1), degree=(2, 2))
+    mesh = t.build_mesh(cells)
     analysis = t.analyze_segments(mesh)
     dist = t.constant_distribution(mesh, 1, 1)
     order = t.appearance_ordering(expanded, analysis)
@@ -397,7 +399,7 @@ def test_tsub_weighted_lines():
     # with or without a smoothness and a degree at hand
     for context in ((), ((1, 1), (2, 2))):
         again, events = apply_history(expanded, *context)
-        assert again.cell_rects() == mesh.cell_rects()
+        assert again == cells
         assert events.events == expanded.events
 
 
@@ -449,9 +451,45 @@ def test_apply_history_rejects_a_degenerate_init(rule):
     assert isinstance(info.value, ValueError) and str(info.value) == "degenerate rectangle [1, 0, 0, 1]"
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0), st.booleans(), st.booleans())
+def test_applied_cells_need_no_build(seed, transpose, reflect):
+    """apply_history returns the replay's cells and builds no mesh of them:
+    they are sorted by (y0, x0), build_mesh takes them without raising, and
+    its mesh has them as its cells, for a random plain history, maybe
+    transposed or reflected, with plain and wsplit lines on top.  Half the
+    coordinates lie on a node line, so that the rule also extends segments."""
+    rng = random.Random(seed)
+    history, _ = random_history(rng, rng.randrange(20), rng.choice((1, 4)), rng.choice((1, 3)))
+    if transpose:
+        history = mapped_history(history, transpose=True)
+    if reflect:
+        history = mapped_history(history, transpose=False)
+    degree = m, n = rng.randint(1, 3), rng.randint(1, 3)
+    smooth = rng.randint(0, m + 1), rng.randint(0, n + 1)
+    lines = t.SubdivisionHistory(history.initial, list(history.events))
+    for _ in range(rng.randint(0, 5)):
+        cells, _ = apply_history(lines, smooth, degree)
+        cell = rng.randrange(len(cells))
+        direction = rng.choice("hv")
+        axis = 0 if direction == "v" else 1
+        lo, hi = cells[cell][axis], cells[cell][axis + 2]
+        on_lines = sorted({c for rect in cells for c in rect[axis::2] if lo < c < hi})
+        if on_lines and rng.random() < 0.5:
+            coord = rng.choice(on_lines)
+        else:
+            coord = lo + (hi - lo) * rng.choice((F(1, 4), F(1, 2), F(3, 4)))
+        rule = None if rng.random() < 0.25 else (rng.randint(0, m + 2), rng.randint(0, n + 2))
+        lines.events.append(t.SplitEvent(cell, direction, coord, rule))
+    cells, expanded = apply_history(lines, smooth, degree)
+    assert cells == sorted(cells, key=lambda rect: (rect[1], rect[0]))
+    assert cells is not expanded._kept.rects
+    assert t.build_mesh(cells).cell_rects() == cells == expanded.replay().cell_rects()
+
+
 def test_mixed_history_matches_stepwise_splits():
-    # Each line applied to the mesh of the lines before it: split_cell for a
-    # plain line, weighted_split for a wsplit line.
+    # Each line applied to the mesh of the lines before it: the mesh-route
+    # split_cell for a plain line, weighted_split for a wsplit line.
     history = parse_tsub(
         "tsub 1\ninit 0 0 3 3\n"
         "split 0 v 1\nsplit 1 v 2\n"
@@ -459,14 +497,14 @@ def test_mixed_history_matches_stepwise_splits():
         "split 3 h 2\nsplit 4 h 2\nsplit 5 h 2\n"
         "wsplit 4 v 3/2 3 3\nsplit 0 v 1/2\nwsplit 1 h 1/2 3 3\nsplit 0 h 1/2\n"
     )
-    mesh, expanded = apply_history(history, *_SPACE)
+    cells, expanded = apply_history(history, *_SPACE)
     reference, stepped = t.initial_mesh(*history.initial)
     for ev in history.events:
         if ev.rule is None:
-            outcome = t.split_cell(reference, stepped, ev.cell, ev.direction, ev.coord)
+            outcome = split_cell(reference, stepped, ev.cell, ev.direction, ev.coord)
         else:
             outcome = t.weighted_split(reference, stepped, ev.cell, ev.direction, ev.coord, *_SPACE, *ev.rule)
         reference = outcome.mesh
     assert len(stepped.events) == 14  # each wsplit line gained one extension hop
     assert expanded.events == stepped.events
-    assert mesh.cell_rects() == reference.cell_rects()
+    assert cells == reference.cell_rects()

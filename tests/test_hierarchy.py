@@ -20,7 +20,8 @@ from meshgen import (
     split_at,
     subdivide_center_3x3,
 )
-from witnesses import is_weighted, new_isolated_segment_count, weighted_split_by_meshes
+import witnesses
+from witnesses import is_weighted, new_isolated_segment_count, split_cell, weighted_split_by_meshes
 
 
 def test_full_span_splits_make_grid():
@@ -31,27 +32,50 @@ def test_full_span_splits_make_grid():
     assert t.appearance_ordering(hist, t.analyze_segments(mesh)).index == {}
 
 
+def _split_routes(event):
+    """Each way an event is split on [0, 2]^2: a history's replay, a parsed
+    history applied, and the mesh-route witness."""
+    initial = (F(0), F(0), F(2), F(2))
+
+    def replay():
+        t.SubdivisionHistory(initial, [event]).replay()
+
+    def apply():
+        t.apply_history(t.SubdivisionHistory(initial, [event]))
+
+    def witness():
+        split_cell(t.build_mesh([initial]), None, *event[:3])
+
+    return replay, apply, witness
+
+
 def test_split_validation():
-    mesh, hist = t.initial_mesh(0, 0, 2, 2)
-    with pytest.raises(UnknownCell):
-        t.split_cell(mesh, hist, 5, "v", 1)
-    with pytest.raises(CoordinateOnCellBoundary):
-        t.split_cell(mesh, hist, 0, "v", 0)
-    with pytest.raises(CoordinateOnCellBoundary):
-        t.split_cell(mesh, hist, 0, "h", 7)
+    for event, error, message in (
+        (t.SplitEvent(5, "v", 1), UnknownCell, "no cell with id 5"),
+        (t.SplitEvent(0, "v", 0), CoordinateOnCellBoundary, "x=0 not inside cell 0 [0, 0, 2, 2]"),
+        (t.SplitEvent(0, "h", 7), CoordinateOnCellBoundary, "y=7 not inside cell 0 [0, 0, 2, 2]"),
+    ):
+        for route in _split_routes(event):
+            with pytest.raises(error) as info:
+                route()
+            assert str(info.value) == message, route.__name__
 
 
 def test_split_at_float_coordinate_rejected():
+    for route in _split_routes(t.SplitEvent(0, "v", 0.5)):
+        with pytest.raises(TypeError, match="is a float"):
+            route()
     mesh, hist = t.initial_mesh(0, 0, 2, 2)
-    with pytest.raises(TypeError):
-        t.split_cell(mesh, hist, 0, "v", 0.5)
-    assert hist.events == []
+    for split in (split_cell, lambda *args: t.weighted_split(*args, (1, 1), (2, 2), 3, 3)):
+        with pytest.raises(TypeError, match="is a float"):
+            split(mesh, hist, 0, "v", 0.5)
+        assert hist.events == []
 
 
 def test_ex51_built_by_one_interior_split():
     strips = t.build_mesh([(0, 0, 1, 1), (1, 0, 2, 1), (2, 0, 3, 1)])
     middle = cell_containing(strips, F(3, 2), F(1, 2))
-    out = t.split_cell(strips, None, middle.id, "h", F(1, 2))
+    out = split_cell(strips, None, middle.id, "h", F(1, 2))
     assert out.classification == t.NEW_MIS
     counts = t.stats(out.mesh)
     assert (counts.f2, counts.f1o, counts.f0o) == (4, 5, 2)
@@ -70,7 +94,7 @@ def test_center_subdivision_deltas():
 
 def test_split_classifications():
     mesh, hist = t.initial_mesh(0, 0, 3, 2)
-    out = t.split_cell(mesh, hist, 0, "v", 1)
+    out = split_cell(mesh, hist, 0, "v", 1)
     assert out.classification == t.BOUNDARY_REACHING
     mesh = out.mesh
     out = split_at(mesh, hist, 2, 1, "v", 2)
@@ -109,7 +133,7 @@ def test_stepwise_splits_agree_with_replay(seed, n_splits):
     isolated = 0
     births = {}  # (direction, coord, lo, hi) -> index of the creating event
     for index, ev in enumerate(history.events):
-        out = t.split_cell(mesh, stepped, ev.cell, ev.direction, ev.coord)
+        out = split_cell(mesh, stepped, ev.cell, ev.direction, ev.coord)
         seg = out.segment
         if out.classification == t.NEW_MIS and len(seg.vertices) == 2:
             isolated += 1
@@ -167,7 +191,7 @@ def test_nesting_dimension_monotone():
         cell = mesh.cells[rng.randrange(len(mesh.cells))]
         direction = rng.choice("hv")
         lo, hi = (cell.x0, cell.x1) if direction == "v" else (cell.y0, cell.y1)
-        out = t.split_cell(mesh, hist, cell.id, direction, (lo + hi) / 2)
+        out = split_cell(mesh, hist, cell.id, direction, (lo + hi) / 2)
         after = t.spline_dimension_exact(out.mesh, t.constant_distribution(out.mesh, 1, 1), deg)
         assert after >= before
 
@@ -175,7 +199,7 @@ def test_nesting_dimension_monotone():
 def test_weighted_split_extends_until_weighted():
     grid, hist = grid3x3_history()
     smooth = t.ConstantSmoothness(1, 1)
-    deg = t.Degree(2, 2)
+    deg = (2, 2)
     center = cell_containing(grid, F(3, 2), F(3, 2))
     out = t.weighted_split(grid, hist, center.id, "v", F(4, 3), smooth, deg, 3, 3)
     # the hop reaches the boundary before the weight can reach 3
@@ -191,9 +215,9 @@ def test_weighted_split_extends_until_weighted():
 
 def test_weighted_split_boundary_prolongation_needs_no_extension():
     mesh, hist = t.initial_mesh(0, 0, 2, 2)
-    mesh = t.split_cell(mesh, hist, 0, "v", 1).mesh
+    mesh = split_cell(mesh, hist, 0, "v", 1).mesh
     left = cell_containing(mesh, F(1, 2), 1)
-    mesh = t.split_cell(mesh, hist, left.id, "h", 1).mesh
+    mesh = split_cell(mesh, hist, left.id, "h", 1).mesh
     right = cell_containing(mesh, F(3, 2), 1)
     events_before = len(hist.events)
     out = t.weighted_split(mesh, hist, right.id, "h", 1, t.ConstantSmoothness(0, 0), (1, 1), 2, 2)
@@ -207,7 +231,7 @@ def test_weighted_split_history_mismatch_leaves_history_unchanged():
     center = cell_containing(grid, F(3, 2), F(3, 2))
     smooth = t.ConstantSmoothness(1, 1)
     with pytest.raises(HistoryMismatch):
-        t.weighted_split(grid, short, center.id, "v", F(4, 3), smooth, t.Degree(2, 2), 3, 3)
+        t.weighted_split(grid, short, center.id, "v", F(4, 3), smooth, (2, 2), 3, 3)
     assert len(short.events) == len(hist.events) - 1
 
 
@@ -277,9 +301,9 @@ def test_weighted_rule_on_the_spans_matches_the_mesh_route(seed, transpose, refl
         assert key(out.segment) == key(expected.segment)
         lines.events.append(t.SplitEvent(*args[:3], rule))
         mesh = out.mesh
-    applied_mesh, applied = t.apply_history(lines, smooth, degree)
+    cells, applied = t.apply_history(lines, smooth, degree)
     assert applied == reference
-    assert applied_mesh.cell_rects() == reference.replay().cell_rects() == mesh.cell_rects()
+    assert cells == reference.replay().cell_rects() == mesh.cell_rects()
 
 
 def _wsplit_lines(rng, n_lines):
@@ -300,15 +324,17 @@ def _wsplit_lines(rng, n_lines):
 def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
     """A history replays on its cell list, and the weighted rule weighs on
     its spans: whatever its length or its hops, only the meshes that are
-    returned are built.  It keeps its replay, so each event is split once
-    however often the history is replayed."""
+    returned are built, and apply_history returns cells, so it builds none.
+    A history keeps its replay, so each event is split once however often
+    it is replayed.  The mesh-route witness builds the mesh of each split."""
     real_build, real_analyze = hierarchy.build_mesh, hierarchy.analyze_segments
     real_split = hierarchy._split
     built, analysed, split = [], [], []
-    for module in (hierarchy, formats):
+    for module in (hierarchy, formats, witnesses):
         monkeypatch.setattr(module, "build_mesh", lambda rects: built.append(rects) or real_build(rects))
+    for module in (hierarchy, witnesses):
+        monkeypatch.setattr(module, "_split", lambda rects, event: split.append(event) or real_split(rects, event))
     monkeypatch.setattr(hierarchy, "analyze_segments", lambda mesh: analysed.append(mesh) or real_analyze(mesh))
-    monkeypatch.setattr(hierarchy, "_split", lambda rects, event: split.append(event) or real_split(rects, event))
 
     def run(call):
         """(meshes built, cells split) by the call."""
@@ -328,10 +354,10 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
         assert run(lambda: new_isolated_segment_count(history)) == (0, 0)
         assert run(history.replay) == (1, 0)
         analysed.clear()
-        assert run(lambda: t.apply_history(history)) == (1, n_splits)
+        assert run(lambda: t.apply_history(history)) == (0, n_splits)
         assert analysed == []
         cell = mesh.cells[-1]
-        assert run(lambda: t.split_cell(mesh, None, cell.id, "h", (cell.y0 + cell.y1) / 2)) == (1, 1)
+        assert run(lambda: split_cell(mesh, None, cell.id, "h", (cell.y0 + cell.y1) / 2)) == (1, 1)
         for cell in mesh.cells[:8]:
             trial = history.copy()
             analysed.clear()
@@ -350,12 +376,12 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
     built.clear()
     split.clear()
     analysed.clear()
-    mesh, applied = t.apply_history(lines, (1, 1), (2, 2))
+    cells, applied = t.apply_history(lines, (1, 1), (2, 2))
     assert applied == expanded
-    # the one mesh returned, whatever the number of lines and hops
-    assert (len(built), len(split)) == (1, len(expanded.events))
+    # no mesh, whatever the number of lines and hops
+    assert (len(built), len(split)) == (0, len(expanded.events))
     assert analysed == []
-    analysis = t.analyze_segments(mesh)
+    analysis = t.analyze_segments(real_build(cells))
     assert run(lambda: t.appearance_ordering(applied, analysis)) == (0, 0)
     assert run(lambda: new_isolated_segment_count(applied)) == (0, 0)
     assert run(applied.replay) == (1, 0)

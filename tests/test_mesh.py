@@ -131,12 +131,12 @@ def test_float_coordinates_rejected():
 def test_exponent_strings_are_refused_quickly():
     # Fraction("1e99999999") would build a 10**99999999 first; the rational
     # grammar (integers, decimals, p/q) has no exponent, so it is refused.
-    mesh, _ = t.initial_mesh(0, 0, 200, 1)
+    _, history = t.initial_mesh(0, 0, 200, 1)
     for token in ("1e2", "1e99999999"):
         for call in (
             lambda: t.build_mesh([(0, 0, token, 1)]),
             lambda: t.initial_mesh(0, 0, token, 1),
-            lambda: t.split_cell(mesh, None, 0, "v", token),
+            lambda: t.apply_history(t.SubdivisionHistory(history.initial, [t.SplitEvent(0, "v", token)])),
         ):
             start = time.perf_counter()
             with pytest.raises(ValueError, match="exponents are not allowed"):

@@ -60,7 +60,7 @@ def test_ex19_segments_and_blocking():
     assert [order.index[s.id] for s in (r1, r2, r3, r4)] == [1, 2, 3, 4]
 
     dist = t.constant_distribution(mesh, 1, 1)
-    deg = t.Degree(2, 2)
+    deg = (2, 2)
     weights = [t.segment_weight(a, dist, deg, order, s.id) for s in (r1, r2, r3, r4)]
     assert [w.count for w in weights] == [2, 2, 3, 3]
     assert [w.weight for w in weights] == [2, 2, 3, 3]
@@ -74,7 +74,7 @@ def test_ex51_weight():
     a = t.analyze_segments(mesh)
     assert len(a.mis) == 1
     order = t.default_ordering(a)
-    w = t.segment_weight(a, t.constant_distribution(mesh, 1, 1), t.Degree(2, 2), order, a.mis[0])
+    w = t.segment_weight(a, t.constant_distribution(mesh, 1, 1), (2, 2), order, a.mis[0])
     assert (w.count, w.weight) == (2, 2)
 
 

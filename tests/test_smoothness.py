@@ -92,7 +92,7 @@ def test_vertex_orders(staircase):
 
 
 def test_quotient_dims(staircase):
-    deg = t.Degree(2, 2)
+    deg = (2, 2)
     dist = t.constant_distribution(staircase, 1, 1)
     assert t.quotient_dims(dist, deg, staircase.cells[0]) == 9
     vertical = next(e for e in staircase.edges if e.direction == "v" and e.interior)
@@ -106,12 +106,12 @@ def test_quotient_dims(staircase):
 
 def test_quotient_dim_monotone_in_order():
     mesh = ex51_mesh()
-    deg = t.Degree(3, 2)
+    deg = m, n = 3, 2
     edge = next(e for e in mesh.edges if e.interior and e.direction == "v")
     previous = None
     for r in range(6):
         dist = t.constant_distribution(mesh, r, r)
-        value = (deg.m + 1) * (deg.n + 1) - t.quotient_dims(dist, deg, edge)
+        value = (m + 1) * (n + 1) - t.quotient_dims(dist, deg, edge)
         # ideal dimension shrinks as the order grows
         if previous is not None:
             assert value <= previous

@@ -6,8 +6,9 @@ The tests check the paper's statements with them: the surjectivity of the
 vertex-level quotient map, the shifted-power dimension count against its
 brute force, the weighted-mesh predicate, the isolated-segment slack of the
 hierarchical bound, and the exactness certificate from an ordering.  The
-weighted subdivision rule on one built and analysed mesh per hop is the
-reference for the rule read off the replay's spans.
+plain split of a mesh's cell list and the weighted subdivision rule on one
+built and analysed mesh per hop are the references for the splits and the
+rule read off a history's replay.
 """
 
 from fractions import Fraction
@@ -16,7 +17,8 @@ from math import comb, lcm
 from tsplinedim.dimension import _certificate, h_upper_bound
 from tsplinedim.errors import DegreeOutOfRange, DuplicatePoints
 from tsplinedim.hierarchy import (
-    BOUNDARY_REACHING, EXTENDED_MIS, NEW_MIS, SplitEvent, SplitOutcome, _extension_target,
+    BOUNDARY_REACHING, EXTENDED_MIS, NEW_MIS, SplitEvent, SplitOutcome, _classify, _extension_target, _segment,
+    _split,
 )
 from tsplinedim.linalg import rational_rank
 from tsplinedim.mesh import HORIZONTAL, VERTICAL, as_fraction, build_mesh
@@ -63,18 +65,18 @@ def d1_full_row_rank(mesh, dist, degree):
                     i, l = idx  # s^i (t-a)^l at vertex (x0, a): expand s^i around x0
                     if l > pv:
                         continue
+                    expansion = _shifted_power(-v.x, i)
                     for p in range(min(i, ph) + 1):
-                        c = comb(i, p) * v.x ** (i - p)
                         slot = base + p * (pv + 1) + l
-                        col[slot] = col.get(slot, 0) + sign * c
+                        col[slot] = col.get(slot, 0) + sign * expansion[p]
                 else:
                     k, j = idx  # (s-a)^k t^j at vertex (a, y0): expand t^j around y0
                     if k > ph:
                         continue
+                    expansion = _shifted_power(-v.y, j)
                     for q in range(min(j, pv) + 1):
-                        c = comb(j, q) * v.y ** (j - q)
                         slot = base + k * (pv + 1) + q
-                        col[slot] = col.get(slot, 0) + sign * c
+                        col[slot] = col.get(slot, 0) + sign * expansion[q]
             if col:
                 columns.append(col)
 
@@ -172,6 +174,23 @@ def exactness_certificate(analysis, dist, degree, ordering):
     """The exactness certificate of the defect bound under ``ordering``, as
     ``dimension_bounds`` finds it for the ordering it chooses."""
     return _certificate(analysis, degree, h_upper_bound(analysis, dist, degree, ordering))
+
+
+def split_cell(mesh, history, cell_id, direction, coord):
+    """Split one cell of a mesh along a horizontal or vertical line strictly
+    inside it, and build the mesh after the split.
+
+    Existing edges met by the new segment's end points are re-fragmented by
+    the rebuild; the history (when given) records the elementary event.
+    """
+    event = SplitEvent(cell_id, direction, as_fraction(coord))
+    rects = mesh.cell_rects()
+    coord, lo, hi = _split(rects, event)
+    mesh = build_mesh(rects)
+    segment = _segment(mesh, (direction, coord), lo, hi)
+    if history is not None:
+        history.events.append(event)
+    return SplitOutcome(mesh, segment, _classify(segment.interior, segment.hi - segment.lo, hi - lo))
 
 
 def weighted_split_by_meshes(mesh, history, cell_id, direction, coord, smoothness, degree, k, kp):
