@@ -282,10 +282,11 @@ def apply_history(history, smoothness=None, degree=None, rule=None):
     """Execute a parsed history; returns (cells, elementary history).
 
     ``cells`` is a new list of the refined mesh's rectangles in canonical
-    order, equal to ``build_mesh(cells).cell_rects()``.  No mesh is built:
-    each split lies strictly inside one cell of a rectangle tiling and
-    replaces it by its two halves, so the cells always tile the initial
-    rectangle and ``build_mesh`` cannot fail on them.
+    order, equal to ``build_mesh(cells).cell_rects()``.  No mesh of the
+    cells is built, only the one-cell mesh that validates the initial
+    rectangle: each split lies strictly inside one cell of a rectangle
+    tiling and replaces it by its two halves, so the cells always tile the
+    initial rectangle and ``build_mesh`` cannot fail on them.
 
     Plain splits are only recorded, and ``wsplit`` events run the weighted
     rule on the expanded history's replay.  ``wsplit`` events need

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import CoordinateOnCellBoundary, HistoryMismatch, UnknownCell
-from .mesh import HORIZONTAL, VERTICAL, _check_cells, as_fraction, build_mesh
+from .mesh import HORIZONTAL, VERTICAL, as_fraction, build_mesh
 from .segments import Ordering, analyze_segments
 
 NEW_MIS = "new-MIS"
@@ -148,8 +148,9 @@ class _Replay:
     Keeps the initial rectangle as given, the events in split order, the
     cells sorted by (y0, x0), an index being the canonical cell id, and for
     each line (direction, coord) the (lo, hi, event index) of every edge
-    inserted on it, in event order.  No mesh is built: the initial
-    rectangle is validated as build_mesh validates a cell, with its errors.
+    inserted on it, in event order.  The one mesh built is the initial
+    rectangle's one-cell mesh: build_mesh coerces and validates it, with
+    its errors, and no mesh of the split cells is built.
 
     Every interior edge of the mesh is an inserted edge, so the spans hold
     its maximal segments, their births and their vertices (``run``,
@@ -158,9 +159,8 @@ class _Replay:
 
     def __init__(self, initial):
         self.initial = tuple(initial)
-        self.box = tuple(map(as_fraction, self.initial))
-        self.rects = [self.box]
-        _check_cells(self.rects, self.rects)
+        self.rects = build_mesh([self.initial]).cell_rects()
+        self.box = self.rects[0]
         self.lines = {}
         self.events = []
 

@@ -589,33 +589,39 @@ def test_history_with_wsplit_lines_needs_constant_smoothness(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "NonConstantSmoothness"
 
 
-def test_subdivide_builds_no_mesh(tmp_path, monkeypatch, capsys):
+def test_subdivide_of_a_wsplit_history_builds_one_mesh(tmp_path, monkeypatch, capsys):
     # subdivide prints the cells of the history's replay, and the weighted
-    # rule weighs on its spans: no mesh is built for a plain or a wsplit
-    # history, however many hops the rule makes.  dim and mis --history
-    # expand a wsplit history the same way, on top of the parsed mesh.
+    # rule weighs on its spans: the one mesh built, for a plain or a wsplit
+    # history however many hops the rule makes, is the one-cell mesh that
+    # validates the initial rectangle.  dim and mis --history expand a wsplit
+    # history the same way, on top of the parsed mesh.
     built = []
     real = t.build_mesh
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "tsplinedim" and vars(module).get("build_mesh") is real:
-            monkeypatch.setattr(module, "build_mesh", lambda rects: built.append(rects) or real(rects))
+            monkeypatch.setattr(module, "build_mesh", lambda rects: built.append(list(rects)) or real(rects))
+    initial = [(0, 0, 8, 8)]
     space = ["-m", "2", "-n", "2", "--smooth", "1,1"]
     plain = "tsub 1\ninit 0 0 8 8\nsplit 0 v 2\nsplit 1 v 6\nsplit 1 h 4\nsplit 0 h 3\n"
     for text in (plain, _WSPLIT_HISTORY):
         original = tmp_path / "history.tsub"
         original.write_text(text)
         emitted = tmp_path / "elementary.tsub"
+        built.clear()
         assert main(["subdivide", str(original), *space, "--emit-history", str(emitted)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("tmesh 1")
         assert emitted.read_text().count("split") >= text.count("split")
-        assert built == []
+        assert built == [initial]
+        built.clear()
         assert main(["subdivide", str(original), *space, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["tmesh"] == out
+        assert built == [initial]
         mesh = tmp_path / "refined.tmesh"
         mesh.write_text(out)
         for command in ("dim", "mis"):
+            built.clear()
             assert main([command, str(mesh), *space, "--history", str(original)]) == 0
             capsys.readouterr()
-        assert built == []
+            assert built == [initial]
     assert emitted.read_text().count("split") > _WSPLIT_HISTORY.count("split")  # the rule hopped

@@ -323,8 +323,9 @@ def _wsplit_lines(rng, n_lines):
 
 def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
     """A history replays on its cell list, and the weighted rule weighs on
-    its spans: whatever its length or its hops, only the meshes that are
-    returned are built, and apply_history returns cells, so it builds none.
+    its spans: whatever its length or its hops, the meshes built are the
+    returned ones and the one-cell mesh of the initial rectangle that each
+    new replay validates, so apply_history builds that one mesh only.
     A history keeps its replay, so each event is split once however often
     it is replayed.  The mesh-route witness builds the mesh of each split."""
     real_build, real_analyze = hierarchy.build_mesh, hierarchy.analyze_segments
@@ -349,12 +350,12 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
         history, rects = random_history(rng, n_splits)
         mesh = t.build_mesh(rects)
         analysis = t.analyze_segments(mesh)
-        assert run(history.replay) == (1, n_splits)
+        assert run(history.replay) == (2, n_splits)  # a new replay and the returned mesh
         assert run(lambda: t.appearance_ordering(history, analysis)) == (0, 0)
         assert run(lambda: new_isolated_segment_count(history)) == (0, 0)
         assert run(history.replay) == (1, 0)
         analysed.clear()
-        assert run(lambda: t.apply_history(history)) == (0, n_splits)
+        assert run(lambda: t.apply_history(history)) == (1, n_splits)  # its new replay
         assert analysed == []
         cell = mesh.cells[-1]
         assert run(lambda: split_cell(mesh, None, cell.id, "h", (cell.y0 + cell.y1) / 2)) == (1, 1)
@@ -365,7 +366,7 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
                 mesh, trial, cell.id, "v", (cell.x0 + cell.x1) / 2, (1, 1), (2, 2), 3, 3
             ))
             appended = len(trial.events) - len(history.events)
-            assert count == (1, n_splits + appended)  # a copy replays anew
+            assert count == (2, n_splits + appended)  # a copy replays anew
             assert len(analysed) == 1  # to find the returned segment
             assert run(lambda: new_isolated_segment_count(trial)) == (0, 0)
             hops += appended - 1
@@ -378,8 +379,9 @@ def test_builds_one_mesh_per_returned_or_weighed_state(monkeypatch):
     analysed.clear()
     cells, applied = t.apply_history(lines, (1, 1), (2, 2))
     assert applied == expanded
-    # no mesh, whatever the number of lines and hops
-    assert (len(built), len(split)) == (0, len(expanded.events))
+    # the new replay's one-cell mesh only, whatever the number of lines and hops
+    assert built == [[lines.initial]]
+    assert len(split) == len(expanded.events)
     assert analysed == []
     analysis = t.analyze_segments(real_build(cells))
     assert run(lambda: t.appearance_ordering(applied, analysis)) == (0, 0)
