@@ -86,7 +86,6 @@ from .segments import (
     analyze_segments,
     blocking,
     default_ordering,
-    segment_weight,
 )
 from .smoothness import (
     ConstantSmoothness,

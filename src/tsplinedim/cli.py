@@ -21,7 +21,7 @@ from .formats import (
     parse_tsub,
 )
 from .mesh import ascii_int, check_counting_identities, stats as mesh_stats
-from .segments import analyze_segments, blocking, segment_weight
+from .segments import analyze_segments, blocking
 from .svg import render_svg
 
 
@@ -175,15 +175,15 @@ def cmd_mis(args, parser):
     degree = (args.m, args.n)
     analysis = analyze_segments(mesh)
     history = _history_for(args, parser, dist, degree)
-    ordering, _ = dimension._choose_ordering(analysis, dist, degree, args.ordering, history)
+    ordering, bound = dimension._choose_ordering(analysis, dist, degree, args.ordering, history)
     blocks = {}
     for a, b in blocking(analysis):
         blocks.setdefault(a, []).append(b)
     records = []
-    for sid in analysis.mis:
+    for part in bound.per_segment:
+        sid = part.segment
         seg = analysis.segments[sid]
-        w = segment_weight(analysis, dist, degree, ordering, sid)
-        gamma = [list(map(format_rational, mesh.vertices[v].position)) for v in w.vertices]
+        gamma = [list(map(format_rational, mesh.vertices[v].position)) for v in part.counted]
         records.append(
             {
                 "id": sid,
@@ -191,8 +191,8 @@ def cmd_mis(args, parser):
                 "coord": format_rational(seg.coord),
                 "span": [format_rational(seg.lo), format_rational(seg.hi)],
                 "rank": ordering.index[sid],
-                "lambda": w.count,
-                "omega": w.weight,
+                "lambda": len(part.counted),
+                "omega": part.weight,
                 "gamma": gamma,
                 "blocks": sorted(blocks.get(sid, [])),
             }

@@ -6,13 +6,7 @@ from typing import NamedTuple
 from .errors import DegreeOutOfRange, DuplicatePoints
 from .hierarchy import appearance_ordering
 from .mesh import HORIZONTAL, VERTICAL
-from .segments import (
-    Ordering,
-    _transversal_weight,
-    analyze_segments,
-    default_ordering,
-    segment_weight,
-)
+from .segments import Ordering, analyze_segments, default_ordering
 from .smoothness import _factor
 
 SEARCH_LIMIT = 14  # exact ordering minimization up to this many interior segments
@@ -72,6 +66,7 @@ class SegmentContribution(NamedTuple):
     segment: int
     weight: int
     contribution: int
+    counted: tuple[int, ...]  # counted vertices: on no higher-ranked interior segment
 
 
 class DefectBound(NamedTuple):
@@ -79,28 +74,55 @@ class DefectBound(NamedTuple):
     per_segment: tuple[SegmentContribution, ...]
 
 
-def _contribution(seg, dist, degree, weight):
-    """Defect-bound share of one interior segment of the given weight.
+def _weight_table(analysis, dist, degree):
+    """The ordering-free part of every interior segment's weight and share.
 
-    A horizontal segment contributes (m + 1 - weight)_+ times the transversal
-    factor (n - r)_+, with r the order of its supporting line, and
-    symmetrically for a vertical segment.
+    Under an ordering, the weight of a horizontal interior segment sums
+    (m - r)_+ over its counted vertices, r the order of the vertical line
+    through the vertex, and its share of the defect bound is
+    (m + 1 - weight)_+ times (n - r)_+, r the order of its own line; a
+    vertical segment mirrors this.  So each segment is listed, in
+    ``analysis.mis`` order, as (sid, capacity, factor, vertices): capacity
+    m + 1 (n + 1), factor (n - r)_+ ((m - r)_+), and per vertex (vid, the
+    other interior segment through it or None, the crossing line's share).
+    A vertex is counted unless that other segment ranks higher.  Each node
+    line's order is read once.
     """
+    if not analysis.mis:
+        return []
     m, n = degree
-    r = dist.order(seg.direction, seg.coord)
-    if seg.horizontal:
-        return max(0, m + 1 - weight) * max(0, n - r)
-    return max(0, m - r) * max(0, n + 1 - weight)
+    mesh = analysis.mesh
+    share_x = [max(0, m - dist.order(VERTICAL, x)) for x in mesh.nodes_x]
+    share_y = [max(0, n - dist.order(HORIZONTAL, y)) for y in mesh.nodes_y]
+    xline, yline = mesh.vertex_xline, mesh.vertex_yline
+    table = []
+    for sid in analysis.mis:
+        seg = analysis.segments[sid]
+        if seg.horizontal:
+            capacity, factor = m + 1, share_y[yline[seg.vertices[0]]]
+            across, shares = xline, share_x
+        else:
+            capacity, factor = n + 1, share_x[xline[seg.vertices[0]]]
+            across, shares = yline, share_y
+        vertices = []
+        for vid in seg.vertices:
+            other = next((o for o in analysis.interior_segments_at(vid) if o != sid), None)
+            vertices.append((vid, other, shares[across[vid]]))
+        table.append((sid, capacity, factor, vertices))
+    return table
 
 
 def h_upper_bound(analysis, dist, degree, ordering):
     """Upper bound for the homology defect under a fixed segment ordering."""
+    rank = ordering.index
     parts = []
     total = 0
-    for sid in analysis.mis:
-        w = segment_weight(analysis, dist, degree, ordering, sid).weight
-        contribution = _contribution(analysis.segments[sid], dist, degree, w)
-        parts.append(SegmentContribution(sid, w, contribution))
+    for sid, capacity, factor, vertices in _weight_table(analysis, dist, degree):
+        own = rank[sid]
+        counted = [(vid, share) for vid, other, share in vertices if other is None or rank[other] < own]
+        weight = sum(share for _, share in counted)
+        contribution = max(0, capacity - weight) * factor
+        parts.append(SegmentContribution(sid, weight, contribution, tuple(vid for vid, _ in counted)))
         total += contribution
     return DefectBound(total, tuple(parts))
 
@@ -117,29 +139,23 @@ def search_ordering(analysis, dist, degree):
     ``best[placed]`` is the smallest total contribution of the segments in
     the bitmask ``placed`` when they hold the highest ranks.
     """
-    mis = sorted(analysis.mis)
-    if len(mis) > SEARCH_LIMIT:
+    if len(analysis.mis) > SEARCH_LIMIT:
         return None
+    mis = analysis.mis  # ascending segment ids
     bit = {sid: 1 << i for i, sid in enumerate(mis)}
     # Per segment: the mask of the segments sharing one of its vertices, and
     # its contribution for every set of those that can rank above it.
     costs = []
-    for sid in mis:
-        seg = analysis.segments[sid]
-        vertices = []
+    for _, capacity, factor, vertices in _weight_table(analysis, dist, degree):
+        masks = [(0 if other is None else bit[other], share) for _, other, share in vertices]
         near = 0
-        for vid in seg.vertices:
-            mask = 0
-            for other in analysis.interior_segments_at(vid):
-                if other != sid:
-                    mask |= bit[other]
-            vertices.append((mask, _transversal_weight(analysis, dist, degree, seg, vid)))
+        for mask, _ in masks:
             near |= mask
         table = {}
         above = near
         while True:  # every submask of near, near itself first
-            weight = sum(w for mask, w in vertices if not mask & above)
-            table[above] = _contribution(seg, dist, degree, weight)
+            weight = sum(share for mask, share in masks if not mask & above)
+            table[above] = max(0, capacity - weight) * factor
             if not above:
                 break
             above = (above - 1) & near

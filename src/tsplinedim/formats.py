@@ -55,6 +55,18 @@ def _significant_lines(text):
             yield number, line.split()
 
 
+def _body(text, name):
+    """The significant lines of a ``<name> 1`` file after its header line."""
+    lines = _significant_lines(text)
+    try:
+        number, header = next(lines)
+    except StopIteration:
+        raise TmeshSyntaxError(f"empty file: missing '{name} 1' header")
+    if header != [name, "1"]:
+        raise TmeshSyntaxError(f"expected header '{name} 1'", number)
+    return lines
+
+
 class _DocumentFields(NamedTuple):
     cells: tuple
     default_smooth: tuple[int, int] | None = None
@@ -108,13 +120,7 @@ def _check_cell_lines(grid, numbers):
 
 
 def parse_tmesh(text):
-    lines = _significant_lines(text)
-    try:
-        number, header = next(lines)
-    except StopIteration:
-        raise TmeshSyntaxError("empty file: missing 'tmesh 1' header")
-    if header != ["tmesh", "1"]:
-        raise TmeshSyntaxError("expected header 'tmesh 1'", number)
+    lines = _body(text, "tmesh")
 
     rational, memo = _token_reader()
     cells = []  # the four coordinate tokens of each cell line
@@ -218,13 +224,7 @@ def document_smoothness(doc, mesh, override=None):
 
 
 def parse_tsub(text):
-    lines = _significant_lines(text)
-    try:
-        number, header = next(lines)
-    except StopIteration:
-        raise TmeshSyntaxError("empty file: missing 'tsub 1' header")
-    if header != ["tsub", "1"]:
-        raise TmeshSyntaxError("expected header 'tsub 1'", number)
+    lines = _body(text, "tsub")
 
     rational, _ = _token_reader()
     initial = None

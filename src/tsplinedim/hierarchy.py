@@ -217,18 +217,17 @@ class _Replay:
         """Order the interior segments of analysis by the event that created
         each: the first event whose edge lies inside the segment.
 
-        Raises HistoryMismatch when analysis is not of the replayed mesh or a
-        segment has no such event.
+        Raises HistoryMismatch when analysis is not of the replayed mesh.
+        After that check every segment has such an event: each interior edge
+        lies in a span inserted on its line, and a span is a connected run of
+        interior edges, so it lies inside one maximal segment.
         """
         self.check(analysis.mesh)
         births = []
         for sid in analysis.mis:
             seg = analysis.segments[sid]
-            spans = self.lines.get((seg.direction, seg.coord), ())
-            birth = min((i for lo, hi, i in spans if seg.lo <= lo and hi <= seg.hi), default=None)
-            if birth is None:
-                raise HistoryMismatch(f"segment {sid} has no unique replay record")
-            births.append((birth, sid))
+            spans = self.lines[seg.direction, seg.coord]
+            births.append((min(i for lo, hi, i in spans if seg.lo <= lo and hi <= seg.hi), sid))
         births.sort()
         return Ordering({sid: i + 1 for i, (_, sid) in enumerate(births)}, "appearance")
 
@@ -307,7 +306,8 @@ def appearance_ordering(history, analysis):
     """Order interior segments by the event that created each of them.
 
     Raises HistoryMismatch when the history does not replay to the analyzed
-    mesh or a segment cannot be matched to a replay record.
+    mesh; every interior segment of the replayed mesh holds a span, and the
+    first event among its spans is its birth.
     """
     return history._replayed().ordering(analysis)
 

@@ -1,9 +1,8 @@
-"""Maximal segments, the interior subset, blocking, orderings and weights."""
+"""Maximal segments, the interior subset, blocking and orderings."""
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DanglingGeometry
 from .mesh import HORIZONTAL, VERTICAL
 
 
@@ -54,6 +53,14 @@ def analyze_segments(mesh):
     in (start, end) vertex order, which on one line is the order along it,
     so a line's edges arrive sorted and two of them join when one starts at
     the vertex where the other ends.
+
+    Every vertex strictly inside a segment is interior, so only the two ends
+    decide whether the segment is.  Let v lie between the segment's interior
+    edges a and b, with cells A and C on either side of a and B and D on
+    either side of b.  v is a cell corner, so A != B or C != D.  If A != B,
+    the edge at v between A and B has a cell on each side, so it is
+    interior; if A = B, no edge leaves v on that side.  The same holds on
+    the side of C and D, so v has no boundary edge and is interior.
     """
     by_line: dict[tuple[str, int], list] = {}
     for eid in mesh.interior_edges:
@@ -77,10 +84,7 @@ def analyze_segments(mesh):
     segments = []
     for sid, (direction, _, run) in enumerate(raw):
         verts = [run[0].start] + [e.end for e in run]
-        vobjs = [mesh.vertices[v] for v in verts]
-        interior = vobjs[0].interior and vobjs[-1].interior
-        if not all(v.interior for v in vobjs[1:-1]):
-            raise DanglingGeometry(f"{direction} segment at {run[0].coord} pinched on the boundary")
+        interior = mesh.vertices[verts[0]].interior and mesh.vertices[verts[-1]].interior
         segments.append(
             MaxSegment(
                 id=sid,
@@ -151,41 +155,3 @@ def default_ordering(analysis):
     if len(order) != len(mis):
         return Ordering({sid: i + 1 for i, sid in enumerate(sorted(mis))}, "canonical")
     return Ordering({sid: i + 1 for i, sid in enumerate(order)}, "topological")
-
-
-class SegmentWeight(NamedTuple):
-    vertices: tuple[int, ...]  # counted vertices: not on any later interior segment
-    count: int
-    weight: int
-
-
-def segment_weight(analysis, dist, degree, ordering, segment_id):
-    """Counted vertex set, its size, and the weight of one interior segment.
-
-    A vertex of the segment is counted unless it lies on another interior
-    segment with a larger ordering rank.  Each counted vertex contributes its
-    transversal multiplicity: degree minus smoothness of the crossing line,
-    clamped at zero (orders at or above the degree pin nothing).
-    """
-    seg = analysis.segments[segment_id]
-    rank = ordering.index[segment_id]
-    kept = []
-    for vid in seg.vertices:
-        covered = any(
-            other != segment_id and ordering.index[other] > rank
-            for other in analysis.interior_segments_at(vid)
-        )
-        if not covered:
-            kept.append(vid)
-    weight = sum(_transversal_weight(analysis, dist, degree, seg, v) for v in kept)
-    return SegmentWeight(tuple(kept), len(kept), weight)
-
-
-def _transversal_weight(analysis, dist, degree, seg, vertex_id):
-    """What one counted vertex adds to the weight of ``seg``."""
-    m, n = degree
-    vertex = analysis.mesh.vertices[vertex_id]
-    if seg.horizontal:
-        return max(0, m - dist.order(VERTICAL, vertex.x))
-    return max(0, n - dist.order(HORIZONTAL, vertex.y))
-

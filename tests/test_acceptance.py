@@ -27,6 +27,7 @@ from witnesses import (
     exactness_certificate,
     is_weighted,
     new_isolated_segment_count,
+    segment_weight,
     split_cell,
 )
 
@@ -102,7 +103,7 @@ def test_c04_four_segment_weights():
     analysis = t.analyze_segments(mesh)
     ordering = t.appearance_ordering(hist, analysis)
     weights = [
-        t.segment_weight(analysis, dist, deg, ordering, sid).weight
+        segment_weight(analysis, dist, deg, ordering, sid).weight
         for sid in sorted(analysis.mis, key=lambda sid: ordering.index[sid])
     ]
     assert weights == [2, 2, 3, 3]

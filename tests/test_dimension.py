@@ -26,7 +26,7 @@ from meshgen import (
     subdivide_cell_3x3,
     subdivide_center_3x3,
 )
-from witnesses import exactness_certificate
+from witnesses import exactness_certificate, segment_weight
 
 
 def test_apolar_dim_examples():
@@ -67,10 +67,15 @@ def test_defect_shares_are_apolar_codimensions():
         r_h = {x: rng.randint(0, m + 1) for x in mesh.nodes_x}
         r_v = {y: rng.randint(0, n + 1) for y in mesh.nodes_y}
         dist = t.SmoothnessDistribution(mesh, r_h, r_v)
+        searched = t.search_ordering(analysis, dist, degree)
+        if searched is not None:
+            orderings.append(searched)
         for ordering in orderings:
             for part in t.h_upper_bound(analysis, dist, degree, ordering).per_segment:
                 seg = analysis.segments[part.segment]
-                counted = [mesh.vertices[v] for v in t.segment_weight(analysis, dist, degree, ordering, seg.id).vertices]
+                witness = segment_weight(analysis, dist, degree, ordering, seg.id)
+                assert (part.counted, part.weight) == (witness.vertices, witness.weight)
+                counted = [mesh.vertices[v] for v in part.counted]
                 if seg.horizontal:
                     points = [(v.x, r_h[v.x] + 1) for v in counted if r_h[v.x] < m]
                     expected = (m + 1 - t.apolar_dim(m, points)) * max(0, n - r_v[seg.coord])
@@ -115,11 +120,8 @@ def test_combinatorial_term_matches_the_face_by_face_sum(space):
 _FRACTION_OPS = ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
 
 
-def test_face_sums_and_segments_touch_each_node_line_a_bounded_number_of_times(monkeypatch):
-    # The combinatorial term and the segment grouping depend only on node
-    # lines, so their Fraction work must scale with the lines, not the faces.
-    mesh = grid_mesh(16, 16)
-    dist = t.constant_distribution(mesh, 1, 1)
+def _count_fraction_ops(monkeypatch):
+    """Count every Fraction hash and comparison until ``monkeypatch.undo()``."""
     calls = Counter()
     for name in _FRACTION_OPS:
         def counted(*args, _name=name, _original=getattr(F, name)):
@@ -127,6 +129,16 @@ def test_face_sums_and_segments_touch_each_node_line_a_bounded_number_of_times(m
             return _original(*args)
 
         monkeypatch.setattr(F, name, counted)
+    return calls
+
+
+def test_face_sums_and_segments_touch_each_node_line_a_bounded_number_of_times(monkeypatch):
+    # The combinatorial term, the segment grouping, the defect bound and the
+    # ordering search depend on the orders only through the node lines, so
+    # their Fraction work must scale with the lines, not the faces.
+    mesh = grid_mesh(16, 16)
+    dist = t.constant_distribution(mesh, 1, 1)
+    calls = _count_fraction_ops(monkeypatch)
     term = t.combinatorial_term(mesh, dist, (3, 3))
     analysis = t.analyze_segments(mesh)
     monkeypatch.undo()
@@ -134,6 +146,22 @@ def test_face_sums_and_segments_touch_each_node_line_a_bounded_number_of_times(m
     assert len(analysis.segments) == 30
     lines = len(mesh.nodes_x) + len(mesh.nodes_y)
     assert sum(calls.values()) <= 2 * lines, calls
+
+    for n_splits, measure in ((200, "bound"), (30, "search")):
+        _, rects = random_history(random.Random(5), n_splits)
+        mesh = t.build_mesh(rects)
+        analysis = t.analyze_segments(mesh)
+        dist = t.constant_distribution(mesh, 1, 1)
+        ordering = t.default_ordering(analysis)
+        calls = _count_fraction_ops(monkeypatch)
+        if measure == "bound":
+            t.h_upper_bound(analysis, dist, (3, 3), ordering)
+        else:
+            assert t.search_ordering(analysis, dist, (3, 3)) is not None
+        monkeypatch.undo()
+        lines = len(mesh.nodes_x) + len(mesh.nodes_y)
+        assert (lines, len(analysis.mis)) == ((160, 139) if measure == "bound" else (28, 9))
+        assert sum(calls.values()) <= lines, (measure, calls)
 
 
 def test_combinatorial_term_constant_case_formula():
@@ -253,7 +281,7 @@ def test_hierarchical_meshes_are_weighted(seed, transpose, reflect, orders):
     a = t.analyze_segments(mesh)
     appearance = t.appearance_ordering(history, a)
     for sid in a.mis:
-        assert t.segment_weight(a, dist, degree, appearance, sid).count >= 2
+        assert segment_weight(a, dist, degree, appearance, sid).count >= 2
     for policy in ("auto", "search"):
         report = t.dimension_bounds(mesh, dist, degree, policy, history)
         assert report.certificate in (t.CERT_WEIGHTED, t.CERT_NO_MIS)

@@ -749,10 +749,20 @@ def test_corner_walk_matches_the_fragment_reference_on_named_and_larger_meshes()
 
 def test_hostile_topology_sweep_reaches_every_outcome():
     # Subsets of grids and split meshes reach each topological failure, so
-    # the agreement above is tested where the proofs in `_mesh` matter.
+    # the agreement above is tested where the proofs in `_mesh` matter.  On
+    # the valid ones, every vertex strictly inside a maximal segment is
+    # interior, as `analyze_segments` proves.
     rng = random.Random(28)
     outcomes = set()
+    inner = 0
     for _ in range(600):
-        outcome = _checked_outcome(_hostile_cells(rng))
+        cells = _hostile_cells(rng)
+        outcome = _checked_outcome(cells)
         outcomes.add("valid" if outcome.startswith("cell ") else outcome.split(":")[0])
+        if outcome.startswith("cell "):
+            mesh = t.build_mesh(cells)
+            for seg in t.analyze_segments(mesh).segments:
+                assert all(mesh.vertices[v].interior for v in seg.vertices[1:-1]), seg
+                inner += len(seg.vertices) - 2
+    assert inner > 1000
     assert outcomes == {"valid", "DisconnectedDomain", "DomainNotSimplyConnected", "DanglingGeometry"}

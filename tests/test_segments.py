@@ -16,7 +16,7 @@ from meshgen import (
     spaces,
     subdivide_center_3x3,
 )
-from witnesses import is_weighted
+from witnesses import is_weighted, segment_weight
 
 
 def test_staircase_has_no_interior_segments():
@@ -61,7 +61,7 @@ def test_ex19_segments_and_blocking():
 
     dist = t.constant_distribution(mesh, 1, 1)
     deg = (2, 2)
-    weights = [t.segment_weight(a, dist, deg, order, s.id) for s in (r1, r2, r3, r4)]
+    weights = [segment_weight(a, dist, deg, order, s.id) for s in (r1, r2, r3, r4)]
     assert [w.count for w in weights] == [2, 2, 3, 3]
     assert [w.weight for w in weights] == [2, 2, 3, 3]
     # end points always stay in the counted set
@@ -74,7 +74,7 @@ def test_ex51_weight():
     a = t.analyze_segments(mesh)
     assert len(a.mis) == 1
     order = t.default_ordering(a)
-    w = t.segment_weight(a, t.constant_distribution(mesh, 1, 1), (2, 2), order, a.mis[0])
+    w = segment_weight(a, t.constant_distribution(mesh, 1, 1), (2, 2), order, a.mis[0])
     assert (w.count, w.weight) == (2, 2)
 
 
@@ -85,7 +85,7 @@ def test_constant_distribution_weight_is_multiplicity_times_count():
     for m, n, r, rp in ((3, 2, 1, 0), (4, 4, 2, 3)):
         dist = t.constant_distribution(mesh, r, rp)
         for sid in a.mis:
-            w = t.segment_weight(a, dist, (m, n), order, sid)
+            w = segment_weight(a, dist, (m, n), order, sid)
             if a.segments[sid].horizontal:
                 assert w.weight == (m - r) * w.count
             else:
@@ -148,7 +148,7 @@ def test_weights_invariant_under_similarity():
     order = t.appearance_ordering(hist, a)
     dist = t.constant_distribution(mesh, 1, 1)
     reference = sorted(
-        t.segment_weight(a, dist, (2, 2), order, sid).weight for sid in a.mis
+        segment_weight(a, dist, (2, 2), order, sid).weight for sid in a.mis
     )
     # translate by (7, -3) and scale by 1/2
     scaled = t.build_mesh(
@@ -157,7 +157,7 @@ def test_weights_invariant_under_similarity():
     a2 = t.analyze_segments(scaled)
     dist2 = t.constant_distribution(scaled, 1, 1)
     order2 = t.default_ordering(a2)
-    got = sorted(t.segment_weight(a2, dist2, (2, 2), order2, sid).weight for sid in a2.mis)
+    got = sorted(segment_weight(a2, dist2, (2, 2), order2, sid).weight for sid in a2.mis)
     assert got == reference
 
 

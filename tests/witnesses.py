@@ -2,17 +2,18 @@
 engine path calls.
 
 Each was part of the package until nothing in it read the routine any more.
-The tests check the paper's statements with them: the surjectivity of the
-vertex-level quotient map, the shifted-power dimension count against its
-brute force, the weighted-mesh predicate, the isolated-segment slack of the
-hierarchical bound, and the exactness certificate from an ordering.  The
-plain split of a mesh's cell list and the weighted subdivision rule on one
+The tests check the paper's statements with them: the weight of an interior
+segment as the paper defines it, the surjectivity of the vertex-level
+quotient map, the shifted-power dimension count against its brute force,
+the weighted-mesh predicate, the isolated-segment slack of the hierarchical
+bound, and the exactness certificate from an ordering.  The plain split of a mesh's cell list and the weighted subdivision rule on one
 built and analysed mesh per hop are the references for the splits and the
 rule read off a history's replay.
 """
 
 from fractions import Fraction
 from math import comb, lcm
+from typing import NamedTuple
 
 from tsplinedim.dimension import _certificate, h_upper_bound
 from tsplinedim.errors import DegreeOutOfRange, DuplicatePoints
@@ -23,8 +24,45 @@ from tsplinedim.hierarchy import (
 from tsplinedim.linalg import rational_rank
 from tsplinedim.mesh import HORIZONTAL, VERTICAL, as_fraction, build_mesh
 from tsplinedim.oracle import _shifted_power
-from tsplinedim.segments import analyze_segments, segment_weight
+from tsplinedim.segments import analyze_segments
 from tsplinedim.smoothness import constant_distribution
+
+
+class SegmentWeight(NamedTuple):
+    vertices: tuple[int, ...]  # counted vertices: not on any later interior segment
+    count: int
+    weight: int
+
+
+def segment_weight(analysis, dist, degree, ordering, segment_id):
+    """Counted vertex set, its size, and the weight of one interior segment.
+
+    A vertex of the segment is counted unless it lies on another interior
+    segment with a larger ordering rank.  Each counted vertex contributes its
+    transversal multiplicity: degree minus smoothness of the crossing line,
+    clamped at zero (orders at or above the degree pin nothing).
+    """
+    seg = analysis.segments[segment_id]
+    rank = ordering.index[segment_id]
+    kept = []
+    for vid in seg.vertices:
+        covered = any(
+            other != segment_id and ordering.index[other] > rank
+            for other in analysis.interior_segments_at(vid)
+        )
+        if not covered:
+            kept.append(vid)
+    weight = sum(_transversal_weight(analysis, dist, degree, seg, v) for v in kept)
+    return SegmentWeight(tuple(kept), len(kept), weight)
+
+
+def _transversal_weight(analysis, dist, degree, seg, vertex_id):
+    """What one counted vertex adds to the weight of ``seg``."""
+    m, n = degree
+    vertex = analysis.mesh.vertices[vertex_id]
+    if seg.horizontal:
+        return max(0, m - dist.order(VERTICAL, vertex.x))
+    return max(0, n - dist.order(HORIZONTAL, vertex.y))
 
 
 def d1_full_row_rank(mesh, dist, degree):
