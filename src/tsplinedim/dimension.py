@@ -5,7 +5,6 @@ from typing import NamedTuple
 
 from .errors import DegreeOutOfRange, DuplicatePoints
 from .hierarchy import appearance_ordering
-from .mesh import HORIZONTAL, VERTICAL
 from .segments import Ordering, analyze_segments, default_ordering
 from .smoothness import _factor
 
@@ -47,8 +46,8 @@ def combinatorial_term(mesh, dist, degree):
     the faces are summed through the mesh's line indices.
     """
     m, n = degree
-    across_x = [_factor(dist.order(VERTICAL, x), m) for x in mesh.nodes_x]
-    across_y = [_factor(dist.order(HORIZONTAL, y), n) for y in mesh.nodes_y]
+    across_x = [_factor(r, m) for r in dist.orders_x]
+    across_y = [_factor(r, n) for r in dist.orders_y]
     total = len(mesh.cells) * (m + 1) * (n + 1)
     edges, edge_line = mesh.edges, mesh.edge_line
     for eid in mesh.interior_edges:
@@ -67,6 +66,7 @@ class SegmentContribution(NamedTuple):
     weight: int
     contribution: int
     counted: tuple[int, ...]  # counted vertices: on no higher-ranked interior segment
+    capacity: int  # m + 1 (horizontal) or n + 1 (vertical), as in _weight_table
 
 
 class DefectBound(NamedTuple):
@@ -92,8 +92,8 @@ def _weight_table(analysis, dist, degree):
         return []
     m, n = degree
     mesh = analysis.mesh
-    share_x = [max(0, m - dist.order(VERTICAL, x)) for x in mesh.nodes_x]
-    share_y = [max(0, n - dist.order(HORIZONTAL, y)) for y in mesh.nodes_y]
+    share_x = [max(0, m - r) for r in dist.orders_x]
+    share_y = [max(0, n - r) for r in dist.orders_y]
     xline, yline = mesh.vertex_xline, mesh.vertex_yline
     table = []
     for sid in analysis.mis:
@@ -122,7 +122,7 @@ def h_upper_bound(analysis, dist, degree, ordering):
         counted = [(vid, share) for vid, other, share in vertices if other is None or rank[other] < own]
         weight = sum(share for _, share in counted)
         contribution = max(0, capacity - weight) * factor
-        parts.append(SegmentContribution(sid, weight, contribution, tuple(vid for vid, _ in counted)))
+        parts.append(SegmentContribution(sid, weight, contribution, tuple(vid for vid, _ in counted), capacity))
         total += contribution
     return DefectBound(total, tuple(parts))
 
@@ -190,12 +190,13 @@ class Certificate(NamedTuple):
     h: int | None  # exact defect when the certificate pins it
 
 
-def _certificate(analysis, degree, bound):
+def _certificate(bound):
     """Strongest applicable exactness statement for the defect, read from
-    the segment weights already held in ``bound``.
+    the segment weights and capacities already held in ``bound``.
 
-    In order: no interior segments; (m+1, n+1)-weighted; all weights small
-    enough that the bound is attained.  Otherwise "none".
+    In order: no interior segments; (m+1, n+1)-weighted, every weight at
+    least its capacity; every weight at most its capacity, so the bound is
+    attained.  Otherwise "none".
 
     The paper's hierarchical result needs no certificate of its own: on a
     mesh built by a split history, under constant smoothness (r, r') with
@@ -210,14 +211,9 @@ def _certificate(analysis, degree, bound):
     2(n - r') >= n + 1 (vertical).  ``--ordering search`` replaces that
     ordering only by one whose bound is strictly below 0, and there is none.
     """
-    m, n = degree
-    if not analysis.mis:
+    if not bound.per_segment:
         return Certificate(CERT_NO_MIS, 0)
-    # A segment's weight against m + 1 (horizontal) or n + 1 (vertical).
-    excess = [
-        p.weight - (m + 1 if analysis.segments[p.segment].horizontal else n + 1)
-        for p in bound.per_segment
-    ]
+    excess = [p.weight - p.capacity for p in bound.per_segment]
     if all(e >= 0 for e in excess):
         return Certificate(CERT_WEIGHTED, 0)
     if all(e <= 0 for e in excess):
@@ -289,7 +285,7 @@ def dimension_bounds(mesh, dist, degree, ordering_policy="auto", history=None, a
         analysis = analyze_segments(mesh)
     ordering, bound = _choose_ordering(analysis, dist, degree, ordering_policy, history)
     term = combinatorial_term(mesh, dist, degree)
-    certificate = _certificate(analysis, degree, bound)
+    certificate = _certificate(bound)
     if certificate.h is not None:
         h_lo = h_hi = certificate.h
     else:

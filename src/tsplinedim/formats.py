@@ -7,7 +7,7 @@ round-trip losslessly; ``#`` starts a comment anywhere on a line.
 import operator
 from typing import NamedTuple
 
-from .errors import BadRational, MeshError, TmeshSyntaxError, UnknownDirective, UnknownNode
+from .errors import BadRational, MeshError, TmeshSyntaxError, UnknownDirective
 from .hierarchy import SplitEvent, SubdivisionHistory, weighted_split
 from .mesh import _mesh, as_fraction, ascii_int, build_mesh, lattice, to_lattice
 from .smoothness import SmoothnessDistribution, constant_distribution
@@ -200,26 +200,20 @@ def document_smoothness(doc, mesh, override=None):
     """Distribution from the file declarations, or from an (r, r') override.
 
     Returns None when the document declares nothing and no override is given.
+    A ``smooth`` line on a coordinate that is no node line of the mesh is
+    refused by ``SmoothnessDistribution``, as ``smooth h|v <node>: not a node
+    of the mesh``, the first such line of each direction in sorted order.
     """
     if override is not None:
         return constant_distribution(mesh, *override)
     if doc.default_smooth is None and not doc.smooth_h and not doc.smooth_v:
         return None
-    r_h = {}
-    r_v = {}
+    r_h, r_v = {}, {}
     if doc.default_smooth is not None:
         r, rp = doc.default_smooth
-        r_h = {x: r for x in mesh.nodes_x}
-        r_v = {y: rp for y in mesh.nodes_y}
-    nodes_x, nodes_y = set(mesh.nodes_x), set(mesh.nodes_y)
-    for node, order in doc.smooth_h:
-        if node not in nodes_x:
-            raise UnknownNode(f"smooth h {format_rational(node)}: not a node of the mesh")
-        r_h[node] = order
-    for node, order in doc.smooth_v:
-        if node not in nodes_y:
-            raise UnknownNode(f"smooth v {format_rational(node)}: not a node of the mesh")
-        r_v[node] = order
+        r_h, r_v = dict.fromkeys(mesh.nodes_x, r), dict.fromkeys(mesh.nodes_y, rp)
+    r_h.update(doc.smooth_h)
+    r_v.update(doc.smooth_v)
     return SmoothnessDistribution(mesh, r_h, r_v)
 
 

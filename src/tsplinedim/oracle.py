@@ -19,7 +19,7 @@ from math import comb
 
 from .dimension import combinatorial_term
 from .linalg import SparseRationalMatrix, rational_rank
-from .mesh import HORIZONTAL, VERTICAL, lattice
+from .mesh import lattice
 from .segments import analyze_segments
 from .smoothness import quotient_dims
 
@@ -40,7 +40,7 @@ def build_spline_system(mesh, dist, degree):
     rows_per_edge = {}
     for eid in mesh.interior_edges:
         e = mesh.edges[eid]
-        r = dist.order(e.direction, e.coord)
+        r = (dist.orders_y if e.horizontal else dist.orders_x)[mesh.edge_line[eid]]
         if e.horizontal:
             span = [(i, l) for i in range(m + 1) for l in range(min(r, n) + 1)]
         else:
@@ -113,7 +113,7 @@ def h_via_h0(mesh, dist, degree):
     for eid in mesh.interior_edges:
         e = mesh.edges[eid]
         a = e.coord
-        r = dist.order(e.direction, a)
+        r = (dist.orders_y if e.horizontal else dist.orders_x)[mesh.edge_line[eid]]
         if e.horizontal:
             basis = [(i, l) for l in range(r + 1, n + 1) for i in range(m + 1)]
         else:
@@ -157,16 +157,16 @@ def h_via_mis_presentation(mesh, dist, degree, analysis=None):
     if analysis is None:
         analysis = analyze_segments(mesh)
 
+    xline, yline = mesh.vertex_xline, mesh.vertex_yline
     offsets = {}
     widths = {}
     total = 0
     for sid in analysis.mis:
         seg = analysis.segments[sid]
-        r = dist.order(seg.direction, seg.coord)
         if seg.horizontal:
-            shape = (m + 1, max(0, n - r))
+            shape = (m + 1, max(0, n - dist.orders_y[yline[seg.vertices[0]]]))
         else:
-            shape = (max(0, m - r), n + 1)
+            shape = (max(0, m - dist.orders_x[xline[seg.vertices[0]]]), n + 1)
         offsets[sid] = total
         widths[sid] = shape
         total += shape[0] * shape[1]
@@ -174,15 +174,14 @@ def h_via_mis_presentation(mesh, dist, degree, analysis=None):
     xs, ys = _axis_ints(mesh.nodes_x), _axis_ints(mesh.nodes_y)
     rows = []
     for vid in mesh.interior_vertices:
-        v = mesh.vertices[vid]
         seg_h = analysis.segment_through(vid, "h")
         seg_v = analysis.segment_through(vid, "v")
         in_h = seg_h in offsets
         in_v = seg_v in offsets
         if not (in_h or in_v):
             continue
-        rh = dist.order(VERTICAL, v.x)
-        rv = dist.order(HORIZONTAL, v.y)
+        rh = dist.orders_x[xline[vid]]
+        rv = dist.orders_y[yline[vid]]
         qa, qb = m - rh - 1, n - rv - 1
         if qa < 0 or qb < 0:
             continue
@@ -193,11 +192,11 @@ def h_via_mis_presentation(mesh, dist, degree, analysis=None):
         terms = []
         if in_v:
             base, height = offsets[seg_v], widths[seg_v][1]
-            power = _shifted_power(ys[mesh.vertex_yline[vid]], rv + 1)
+            power = _shifted_power(ys[yline[vid]], rv + 1)
             terms += [(base + l, height, c) for l, c in enumerate(power) if c]
         if in_h:
             base, height = offsets[seg_h], widths[seg_h][1]
-            power = _shifted_power(xs[mesh.vertex_xline[vid]], rh + 1)
+            power = _shifted_power(xs[xline[vid]], rh + 1)
             terms += [(base + i * height, height, -c) for i, c in enumerate(power) if c]
         for alpha in range(qa + 1):
             for beta in range(qb + 1):

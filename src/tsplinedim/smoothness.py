@@ -2,14 +2,17 @@
 
 A distribution assigns a continuity order to every node line.  It is entered
 as ``r_h`` (one order per vertical node line x, the continuity in s across
-it) and ``r_v`` (one per horizontal node line y), and read back through one
-lookup, ``order(direction, coord)``: the order across the line of that
-direction (``"h"`` or ``"v"``) at that coordinate.  Values larger than the
-degree are legal; every dimension formula truncates with ``min`` so the
-constraint simply saturates.
+it) and ``r_v`` (one per horizontal node line y), and kept as ``orders_x``
+and ``orders_y``, int tuples aligned with ``mesh.nodes_x`` and
+``mesh.nodes_y``, which the engine indexes with the mesh's line indices.
+``order(direction, coord)`` is the lookup by coordinate: the order across
+the line of that direction (``"h"`` or ``"v"``) at that coordinate.  Values
+larger than the degree are legal; every dimension formula truncates with
+``min`` so the constraint simply saturates.
 """
 
 import operator
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import UnknownNode
@@ -19,33 +22,39 @@ from .mesh import HORIZONTAL, VERTICAL, Cell, Edge, Vertex, as_fraction
 class SmoothnessDistribution:
     def __init__(self, mesh, r_h, r_v):
         # A vertical line at x carries r_h(x); a horizontal line at y, r_v(y).
-        self._orders = {(VERTICAL, as_fraction(x)): operator.index(r) for x, r in r_h.items()}
-        self._orders.update(((HORIZONTAL, as_fraction(y)), operator.index(r)) for y, r in r_v.items())
-        for x in mesh.nodes_x:
-            if (VERTICAL, x) not in self._orders:
-                raise UnknownNode(f"missing smoothness for vertical node line x={x}")
-        for y in mesh.nodes_y:
-            if (HORIZONTAL, y) not in self._orders:
-                raise UnknownNode(f"missing smoothness for horizontal node line y={y}")
-        if any(r < 0 for r in self._orders.values()):
+        given = [{as_fraction(k): operator.index(r) for k, r in orders.items()} for orders in (r_h, r_v)]
+        axes = list(zip("hv", given, (mesh.nodes_x, mesh.nodes_y)))
+        columns = [tuple(map(orders.get, nodes)) for _, orders, nodes in axes]
+        for (name, orders, nodes), column in zip(axes, columns):
+            if len(orders) > len(column) - column.count(None):  # a key on no node line
+                known = set(nodes)
+                extra = next(k for k in orders if k not in known)
+                raise UnknownNode(f"smooth {name} {extra}: not a node of the mesh")
+        for (_, _, nodes), column, line in zip(axes, columns, ("vertical node line x", "horizontal node line y")):
+            if None in column:
+                raise UnknownNode(f"missing smoothness for {line}={nodes[column.index(None)]}")
+        self.orders_x, self.orders_y = columns
+        if any(r < 0 for r in self.orders_x + self.orders_y):
             raise ValueError("smoothness orders must be nonnegative")
+        self._lines = {VERTICAL: (mesh.nodes_x, self.orders_x), HORIZONTAL: (mesh.nodes_y, self.orders_y)}
 
     def order(self, direction, coord):
         """Continuity order across the ``direction`` line at ``coord``.
 
         ``coord`` is an int or a Fraction, the y of a horizontal line or the
-        x of a vertical one; it is looked up as given, without coercion.
+        x of a vertical one; it is found, without coercion, by bisection in
+        the mesh's sorted node lines of that axis.
         """
         if isinstance(coord, float):
             raise TypeError(f"coordinate {coord!r} is a float; pass an int or a Fraction")
-        try:
-            return self._orders[direction, coord]
-        except KeyError:
-            raise UnknownNode(f"no {direction} node line at {coord}") from None
+        nodes, orders = self._lines.get(direction, ((), ()))
+        i = bisect_left(nodes, coord)
+        if i < len(nodes) and nodes[i] == coord:
+            return orders[i]
+        raise UnknownNode(f"no {direction} node line at {coord}")
 
     def is_constant(self):
-        hs = {r for (direction, _), r in self._orders.items() if direction == VERTICAL}
-        vs = {r for (direction, _), r in self._orders.items() if direction == HORIZONTAL}
+        hs, vs = set(self.orders_x), set(self.orders_y)
         if len(hs) == 1 and len(vs) == 1:
             return (hs.pop(), vs.pop())
         return None

@@ -75,6 +75,7 @@ def test_defect_shares_are_apolar_codimensions():
                 seg = analysis.segments[part.segment]
                 witness = segment_weight(analysis, dist, degree, ordering, seg.id)
                 assert (part.counted, part.weight) == (witness.vertices, witness.weight)
+                assert part.capacity == (m + 1 if seg.horizontal else n + 1)
                 counted = [mesh.vertices[v] for v in part.counted]
                 if seg.horizontal:
                     points = [(v.x, r_h[v.x] + 1) for v in counted if r_h[v.x] < m]
@@ -132,36 +133,41 @@ def _count_fraction_ops(monkeypatch):
     return calls
 
 
-def test_face_sums_and_segments_touch_each_node_line_a_bounded_number_of_times(monkeypatch):
-    # The combinatorial term, the segment grouping, the defect bound and the
-    # ordering search depend on the orders only through the node lines, so
-    # their Fraction work must scale with the lines, not the faces.
-    mesh = grid_mesh(16, 16)
-    dist = t.constant_distribution(mesh, 1, 1)
-    calls = _count_fraction_ops(monkeypatch)
-    term = t.combinatorial_term(mesh, dist, (3, 3))
-    analysis = t.analyze_segments(mesh)
-    monkeypatch.undo()
-    assert term == _combinatorial_term_by_faces(mesh, dist, (3, 3))
-    assert len(analysis.segments) == 30
-    lines = len(mesh.nodes_x) + len(mesh.nodes_y)
-    assert sum(calls.values()) <= 2 * lines, calls
+def _per_line_distribution(mesh, degree, rng):
+    m, n = degree
+    r_h = {x: rng.randint(0, m + 1) for x in mesh.nodes_x}
+    r_v = {y: rng.randint(0, n + 1) for y in mesh.nodes_y}
+    return t.SmoothnessDistribution(mesh, r_h, r_v)
 
-    for n_splits, measure in ((200, "bound"), (30, "search")):
-        _, rects = random_history(random.Random(5), n_splits)
-        mesh = t.build_mesh(rects)
-        analysis = t.analyze_segments(mesh)
-        dist = t.constant_distribution(mesh, 1, 1)
-        ordering = t.default_ordering(analysis)
+
+def test_the_engine_makes_no_fraction_operation_once_the_distribution_is_built(monkeypatch):
+    # The dimension depends on the orders only through the node lines, and
+    # the distribution keeps them aligned with the mesh's node tuples: the
+    # combinatorial term, the bound, the ordering search, the presentation
+    # and the cell system read them by line index, never by coordinate, and
+    # the segment grouping reads the mesh's line indices.
+    rng = random.Random(5)
+    meshes = [(grid_mesh(16, 16), (3, 3)), (t.build_mesh(random_history(rng, 30)[1]), (2, 3))]
+    meshes.append((t.build_mesh(random_history(rng, 150)[1]), (3, 2)))
+    for mesh, degree in meshes:
+        dist = _per_line_distribution(mesh, degree, rng)
         calls = _count_fraction_ops(monkeypatch)
-        if measure == "bound":
-            t.h_upper_bound(analysis, dist, (3, 3), ordering)
-        else:
-            assert t.search_ordering(analysis, dist, (3, 3)) is not None
+        analysis = t.analyze_segments(mesh)
+        term = t.combinatorial_term(mesh, dist, degree)
+        bound = t.h_upper_bound(analysis, dist, degree, t.default_ordering(analysis))
+        searched = t.search_ordering(analysis, dist, degree)
+        reports = [t.dimension_bounds(mesh, dist, degree, policy, analysis=analysis) for policy in ("auto", "search")]
+        h = t.h_via_mis_presentation(mesh, dist, degree, analysis)
+        system = t.build_spline_system(mesh, dist, degree)
         monkeypatch.undo()
-        lines = len(mesh.nodes_x) + len(mesh.nodes_y)
-        assert (lines, len(analysis.mis)) == ((160, 139) if measure == "bound" else (28, 9))
-        assert sum(calls.values()) <= lines, (measure, calls)
+        assert sum(calls.values()) == 0, (len(mesh.cells), calls)
+        assert term == _combinatorial_term_by_faces(mesh, dist, degree)
+        assert (searched is None) == (len(analysis.mis) > t.dimension.SEARCH_LIMIT)
+        assert reports[0].per_segment == bound.per_segment and reports[1].h_upper <= reports[0].h_upper
+        assert reports[1].h_lower <= h <= reports[1].h_upper
+        assert system.nrows > 0
+    counts = [(len(t.analyze_segments(mesh).segments), len(t.analyze_segments(mesh).mis)) for mesh, _ in meshes]
+    assert counts[0] == (30, 0) and 0 < counts[1][1] <= t.dimension.SEARCH_LIMIT < counts[2][1], counts
 
 
 def test_combinatorial_term_constant_case_formula():

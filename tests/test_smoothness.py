@@ -127,3 +127,42 @@ def test_collinear_edges_share_smoothness(staircase):
     for group in by_line.values():
         values = {dist.order(e.direction, e.coord) for e in group}
         assert len(values) == 1
+
+
+def test_orders_on_lines_the_mesh_does_not_have_are_refused():
+    # x = 7 is no node line of this strip: its order would be stored but
+    # never read, and is_constant would see two orders across x.
+    strip = t.build_mesh([(0, 0, 1, 1), (1, 0, 2, 1)])
+    with pytest.raises(UnknownNode, match=r"^smooth h 7: not a node of the mesh$"):
+        t.SmoothnessDistribution(strip, {0: 1, 1: 1, 2: 1, 7: 0}, {0: 1, 1: 1})
+    with pytest.raises(UnknownNode, match=r"^smooth v 1/2: not a node of the mesh$"):
+        t.SmoothnessDistribution(strip, {0: 1, 1: 1, 2: 1}, {0: 1, F(1, 2): 1, 1: 1})
+    dist = t.SmoothnessDistribution(strip, {0: 1, 1: 1, 2: 1}, {0: 1, 1: 1})
+    assert dist.is_constant() == (1, 1)
+    with pytest.raises(UnknownNode):
+        dist.order("v", 7)
+
+
+def test_the_first_error_is_an_extra_h_line_then_an_extra_v_line_then_a_missing_line():
+    # The order in which document_smoothness has always reported a bad file.
+    strip = t.build_mesh([(0, 0, 1, 1), (1, 0, 2, 1)])
+    full_h, full_v = {0: 1, 1: 1, 2: 1}, {0: 1, 1: 1}
+    cases = [
+        ({**full_h, 9: 1, 8: 1}, {1: -1, 5: 1}, UnknownNode, "smooth h 9: not a node of the mesh"),
+        ({1: -1}, {**full_v, F(-1, 2): 1}, UnknownNode, "smooth v -1/2: not a node of the mesh"),
+        ({0: 1, 2: -1}, {1: 1}, UnknownNode, "missing smoothness for vertical node line x=1"),
+        ({**full_h, 1: -1}, {1: 1}, UnknownNode, "missing smoothness for horizontal node line y=0"),
+        ({**full_h, 1: -1}, full_v, ValueError, "smoothness orders must be nonnegative"),
+    ]
+    for r_h, r_v, error, message in cases:
+        with pytest.raises(error) as caught:
+            t.SmoothnessDistribution(strip, r_h, r_v)
+        assert str(caught.value) == message
+
+
+def test_the_orders_are_aligned_with_the_node_lines(staircase):
+    dist = ex12_distribution(staircase)
+    assert len(dist.orders_x) == len(staircase.nodes_x) and len(dist.orders_y) == len(staircase.nodes_y)
+    assert dist.orders_x == tuple(dist.order("v", x) for x in staircase.nodes_x)
+    assert dist.orders_y == tuple(dist.order("h", y) for y in staircase.nodes_y)
+    assert dist.orders_x[staircase.nodes_x.index(2)] == 0

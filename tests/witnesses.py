@@ -211,7 +211,7 @@ def new_isolated_segment_count(history):
 def exactness_certificate(analysis, dist, degree, ordering):
     """The exactness certificate of the defect bound under ``ordering``, as
     ``dimension_bounds`` finds it for the ordering it chooses."""
-    return _certificate(analysis, degree, h_upper_bound(analysis, dist, degree, ordering))
+    return _certificate(h_upper_bound(analysis, dist, degree, ordering))
 
 
 def split_cell(mesh, history, cell_id, direction, coord):
