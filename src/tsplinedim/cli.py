@@ -120,28 +120,28 @@ def _counts_dict(mesh):
     }
 
 
-def _smoothness_for(args, doc, mesh, parser):
+def _query(args, parser):
+    """The mesh, distribution, degree, segment analysis and history of a
+    ``mis`` or ``dim`` query, read and checked in that order.  Each wsplit
+    line of the --history file is expanded into its elementary splits by
+    the weighted rule under the query's degree and smoothness."""
+    doc = parse_tmesh(_read(args.file, parser))
+    mesh = document_mesh(doc)
     override = _parse_pair(args.smooth, "--smooth", parser) if args.smooth else None
     dist = document_smoothness(doc, mesh, override)
     if dist is None:
         parser.error("no smoothness given: pass --smooth or declare it in the file")
-    return dist
-
-
-def _history_for(args, parser, dist, degree):
-    """The --history file, each wsplit line expanded into its elementary
-    splits by the weighted rule under the query's degree and smoothness."""
-    if not args.history:
-        return None
-    history = parse_tsub(_read(args.history, parser))
-    if any(ev.rule is not None for ev in history.events):
+    degree = (args.m, args.n)
+    analysis = analyze_segments(mesh)
+    history = parse_tsub(_read(args.history, parser)) if args.history else None
+    if history is not None and any(ev.rule is not None for ev in history.events):
         constant = dist.is_constant()
         if constant is None:
             raise NonConstantSmoothness(
                 "a wsplit line in --history runs the weighted rule, which needs constant smoothness"
             )
         history = apply_history(history, constant, degree)[1]
-    return history
+    return mesh, dist, degree, analysis, history
 
 
 def cmd_validate(args, parser):
@@ -169,12 +169,7 @@ def cmd_stats(args, parser):
 
 
 def cmd_mis(args, parser):
-    doc = parse_tmesh(_read(args.file, parser))
-    mesh = document_mesh(doc)
-    dist = _smoothness_for(args, doc, mesh, parser)
-    degree = (args.m, args.n)
-    analysis = analyze_segments(mesh)
-    history = _history_for(args, parser, dist, degree)
+    mesh, dist, degree, analysis, history = _query(args, parser)
     ordering, bound = dimension._choose_ordering(analysis, dist, degree, args.ordering, history)
     blocks = {}
     for a, b in blocking(analysis):
@@ -213,12 +208,7 @@ def cmd_mis(args, parser):
 
 
 def cmd_dim(args, parser):
-    doc = parse_tmesh(_read(args.file, parser))
-    mesh = document_mesh(doc)
-    dist = _smoothness_for(args, doc, mesh, parser)
-    degree = (args.m, args.n)
-    history = _history_for(args, parser, dist, degree)
-    analysis = analyze_segments(mesh)
+    mesh, dist, degree, analysis, history = _query(args, parser)
     report = dimension.dimension_bounds(mesh, dist, degree, args.ordering, history, analysis=analysis)
     if args.dump_matrix:
         _write(args.dump_matrix, oracle.build_spline_system(mesh, dist, degree).dump_triplets(), parser)

@@ -89,15 +89,20 @@ class MeshDocument(_DocumentFields):
 
         Coordinates go through ``as_fraction`` and orders through
         ``operator.index``, so a float raises TypeError instead of becoming
-        a rational.  The cells sort on their integer-lattice keys, in the
-        order of their ``Fraction`` tuples.
+        a rational, and two ``smooth_h`` or ``smooth_v`` keys on one node
+        line (``1`` and ``"1"``) raise ValueError.  The cells sort on their
+        integer-lattice keys, in the order of their ``Fraction`` tuples.
         """
         cells = [tuple(map(as_fraction, rect)) for rect in cells]
         if default_smooth is not None:
             default_smooth = tuple(map(operator.index, default_smooth))
-        smooth_h = [(as_fraction(k), operator.index(v)) for k, v in dict(smooth_h).items()]
-        smooth_v = [(as_fraction(k), operator.index(v)) for k, v in dict(smooth_v).items()]
-        return MeshDocument._sorted(cells, to_lattice(cells), default_smooth, smooth_h, smooth_v)
+        declared = [sorted((as_fraction(k), operator.index(v)) for k, v in dict(orders).items())
+                    for orders in (smooth_h, smooth_v)]
+        for name, pairs in zip("hv", declared):
+            for (node, _), (other, _) in zip(pairs, pairs[1:]):
+                if node == other:
+                    raise ValueError(f"smooth {name} {format_rational(node)}: two orders for one node line")
+        return MeshDocument._sorted(cells, to_lattice(cells), default_smooth, *declared)
 
     @staticmethod
     def _sorted(cells, grid, default_smooth, smooth_h, smooth_v):
@@ -197,24 +202,18 @@ def document_mesh(doc):
 
 
 def document_smoothness(doc, mesh, override=None):
-    """Distribution from the file declarations, or from an (r, r') override.
-
-    Returns None when the document declares nothing and no override is given.
-    A ``smooth`` line on a coordinate that is no node line of the mesh is
-    refused by ``SmoothnessDistribution``, as ``smooth h|v <node>: not a node
-    of the mesh``, the first such line of each direction in sorted order.
+    """Distribution from an (r, r') override, or else from the file: its
+    ``smooth`` lines over its ``default-smooth`` pair, the distribution's
+    ``default``; None when the file declares neither.  A ``smooth`` line on
+    a coordinate that is no node line of the mesh is refused by
+    ``SmoothnessDistribution``, as ``smooth h|v <node>: not a node of the
+    mesh``, the first such line of each direction in sorted order.
     """
     if override is not None:
         return constant_distribution(mesh, *override)
     if doc.default_smooth is None and not doc.smooth_h and not doc.smooth_v:
         return None
-    r_h, r_v = {}, {}
-    if doc.default_smooth is not None:
-        r, rp = doc.default_smooth
-        r_h, r_v = dict.fromkeys(mesh.nodes_x, r), dict.fromkeys(mesh.nodes_y, rp)
-    r_h.update(doc.smooth_h)
-    r_v.update(doc.smooth_v)
-    return SmoothnessDistribution(mesh, r_h, r_v)
+    return SmoothnessDistribution(mesh, dict(doc.smooth_h), dict(doc.smooth_v), doc.default_smooth)
 
 
 def parse_tsub(text):

@@ -215,19 +215,19 @@ class _Replay:
 
     def ordering(self, analysis):
         """Order the interior segments of analysis by the event that created
-        each: the first event whose edge lies inside the segment.
+        each: the birth of its ``run``, the first event whose edge lies
+        inside the segment.
 
         Raises HistoryMismatch when analysis is not of the replayed mesh.
-        After that check every segment has such an event: each interior edge
-        lies in a span inserted on its line, and a span is a connected run of
-        interior edges, so it lies inside one maximal segment.
+        After that check the run of each segment is the segment: each
+        interior edge lies in a span inserted on its line, and spans that
+        touch on a line lie in one maximal segment.
         """
         self.check(analysis.mesh)
         births = []
         for sid in analysis.mis:
             seg = analysis.segments[sid]
-            spans = self.lines[seg.direction, seg.coord]
-            births.append((min(i for lo, hi, i in spans if seg.lo <= lo and hi <= seg.hi), sid))
+            births.append((self.run((seg.direction, seg.coord), seg.lo, seg.hi)[2], sid))
         births.sort()
         return Ordering({sid: i + 1 for i, (_, sid) in enumerate(births)}, "appearance")
 

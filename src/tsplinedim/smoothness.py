@@ -2,13 +2,14 @@
 
 A distribution assigns a continuity order to every node line.  It is entered
 as ``r_h`` (one order per vertical node line x, the continuity in s across
-it) and ``r_v`` (one per horizontal node line y), and kept as ``orders_x``
-and ``orders_y``, int tuples aligned with ``mesh.nodes_x`` and
-``mesh.nodes_y``, which the engine indexes with the mesh's line indices.
-``order(direction, coord)`` is the lookup by coordinate: the order across
-the line of that direction (``"h"`` or ``"v"``) at that coordinate.  Values
-larger than the degree are legal; every dimension formula truncates with
-``min`` so the constraint simply saturates.
+it) and ``r_v`` (one per horizontal node line y) over a ``default`` (r, r')
+pair, and kept as ``orders_x`` and ``orders_y``, int tuples aligned with
+``mesh.nodes_x`` and ``mesh.nodes_y``, which the engine indexes with the
+mesh's line indices.  A coordinate is placed on its line by bisection once,
+by ``_line``, for a given order as for ``order(direction, coord)``, the
+lookup of the order across the line of that direction (``"h"`` or ``"v"``)
+at that coordinate.  Values larger than the degree are legal; every
+dimension formula truncates with ``min`` so the constraint simply saturates.
 """
 
 import operator
@@ -19,21 +20,36 @@ from .errors import UnknownNode
 from .mesh import HORIZONTAL, VERTICAL, Cell, Edge, Vertex, as_fraction
 
 
+def _line(nodes, coord):
+    """Index of ``coord`` in the sorted node lines ``nodes``, or None."""
+    i = bisect_left(nodes, coord)
+    return i if i < len(nodes) and nodes[i] == coord else None
+
+
 class SmoothnessDistribution:
-    def __init__(self, mesh, r_h, r_v):
-        # A vertical line at x carries r_h(x); a horizontal line at y, r_v(y).
-        given = [{as_fraction(k): operator.index(r) for k, r in orders.items()} for orders in (r_h, r_v)]
-        axes = list(zip("hv", given, (mesh.nodes_x, mesh.nodes_y)))
-        columns = [tuple(map(orders.get, nodes)) for _, orders, nodes in axes]
-        for (name, orders, nodes), column in zip(axes, columns):
-            if len(orders) > len(column) - column.count(None):  # a key on no node line
-                known = set(nodes)
-                extra = next(k for k in orders if k not in known)
-                raise UnknownNode(f"smooth {name} {extra}: not a node of the mesh")
-        for (_, _, nodes), column, line in zip(axes, columns, ("vertical node line x", "horizontal node line y")):
+    def __init__(self, mesh, r_h, r_v, default=None):
+        """Orders ``r_h`` (x: r) and ``r_v`` (y: r') over the ``default`` (r, r')
+        pair.  The first error is a bad key or order, then a key on no node
+        line or a second key on one (h, then v, in key order), then a line
+        with no order (x, then y), then a negative order."""
+        given = [[(as_fraction(k), operator.index(r)) for k, r in orders.items()] for orders in (r_h, r_v)]
+        fills = (None, None) if default is None else tuple(map(operator.index, default))
+        axes = list(zip("hv", (mesh.nodes_x, mesh.nodes_y), ("vertical node line x", "horizontal node line y")))
+        columns = [[fill] * len(nodes) for (_, nodes, _), fill in zip(axes, fills, strict=True)]
+        for (name, nodes, _), pairs, column in zip(axes, given, columns):
+            placed = set()
+            for coord, r in pairs:
+                i = _line(nodes, coord)
+                if i is None:
+                    raise UnknownNode(f"smooth {name} {coord}: not a node of the mesh")
+                if i in placed:
+                    raise ValueError(f"smooth {name} {coord}: two orders for one node line")
+                placed.add(i)
+                column[i] = r
+        for (_, nodes, line), column in zip(axes, columns):
             if None in column:
                 raise UnknownNode(f"missing smoothness for {line}={nodes[column.index(None)]}")
-        self.orders_x, self.orders_y = columns
+        self.orders_x, self.orders_y = map(tuple, columns)
         if any(r < 0 for r in self.orders_x + self.orders_y):
             raise ValueError("smoothness orders must be nonnegative")
         self._lines = {VERTICAL: (mesh.nodes_x, self.orders_x), HORIZONTAL: (mesh.nodes_y, self.orders_y)}
@@ -42,16 +58,16 @@ class SmoothnessDistribution:
         """Continuity order across the ``direction`` line at ``coord``.
 
         ``coord`` is an int or a Fraction, the y of a horizontal line or the
-        x of a vertical one; it is found, without coercion, by bisection in
+        x of a vertical one; it is found, without coercion, by ``_line`` in
         the mesh's sorted node lines of that axis.
         """
         if isinstance(coord, float):
             raise TypeError(f"coordinate {coord!r} is a float; pass an int or a Fraction")
         nodes, orders = self._lines.get(direction, ((), ()))
-        i = bisect_left(nodes, coord)
-        if i < len(nodes) and nodes[i] == coord:
-            return orders[i]
-        raise UnknownNode(f"no {direction} node line at {coord}")
+        i = _line(nodes, coord)
+        if i is None:
+            raise UnknownNode(f"no {direction} node line at {coord}")
+        return orders[i]
 
     def is_constant(self):
         hs, vs = set(self.orders_x), set(self.orders_y)
@@ -74,11 +90,7 @@ class ConstantSmoothness(NamedTuple):
 
 
 def constant_distribution(mesh, r, rp):
-    return SmoothnessDistribution(
-        mesh,
-        {x: r for x in mesh.nodes_x},
-        {y: rp for y in mesh.nodes_y},
-    )
+    return SmoothnessDistribution(mesh, {}, {}, (r, rp))
 
 
 def _factor(order, bound):

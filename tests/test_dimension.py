@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import tsplinedim as t
 from tsplinedim.errors import DegreeOutOfRange, DuplicatePoints
+from tsplinedim.formats import MeshDocument, document_smoothness
 
 from meshgen import (
     EX11_CELLS,
@@ -145,29 +146,65 @@ def test_the_engine_makes_no_fraction_operation_once_the_distribution_is_built(m
     # the distribution keeps them aligned with the mesh's node tuples: the
     # combinatorial term, the bound, the ordering search, the presentation
     # and the cell system read them by line index, never by coordinate, and
-    # the segment grouping reads the mesh's line indices.
+    # the segment grouping reads the mesh's line indices.  A constant or
+    # default order is placed on no line by its coordinate, so those
+    # distributions are counted from their construction on; a per-line one
+    # places each of its keys, and is counted once built.
     rng = random.Random(5)
     meshes = [(grid_mesh(16, 16), (3, 3)), (t.build_mesh(random_history(rng, 30)[1]), (2, 3))]
     meshes.append((t.build_mesh(random_history(rng, 150)[1]), (3, 2)))
-    for mesh, degree in meshes:
-        dist = _per_line_distribution(mesh, degree, rng)
-        calls = _count_fraction_ops(monkeypatch)
-        analysis = t.analyze_segments(mesh)
-        term = t.combinatorial_term(mesh, dist, degree)
-        bound = t.h_upper_bound(analysis, dist, degree, t.default_ordering(analysis))
-        searched = t.search_ordering(analysis, dist, degree)
-        reports = [t.dimension_bounds(mesh, dist, degree, policy, analysis=analysis) for policy in ("auto", "search")]
-        h = t.h_via_mis_presentation(mesh, dist, degree, analysis)
-        system = t.build_spline_system(mesh, dist, degree)
-        monkeypatch.undo()
-        assert sum(calls.values()) == 0, (len(mesh.cells), calls)
-        assert term == _combinatorial_term_by_faces(mesh, dist, degree)
-        assert (searched is None) == (len(analysis.mis) > t.dimension.SEARCH_LIMIT)
-        assert reports[0].per_segment == bound.per_segment and reports[1].h_upper <= reports[0].h_upper
-        assert reports[1].h_lower <= h <= reports[1].h_upper
-        assert system.nrows > 0
+    for index, (mesh, degree) in enumerate(meshes):
+        per_line = _per_line_distribution(mesh, degree, rng)
+        builds = [lambda: per_line]
+        if index != 1:  # the 16 x 16 grid and the 150-split mesh
+            default_only = MeshDocument.make(mesh.cell_rects(), default_smooth=(1, 2))
+            declared = MeshDocument.make(mesh.cell_rects(), (1, 2), {mesh.nodes_x[1]: 0}, {mesh.nodes_y[1]: 3})
+            builds += [
+                lambda: t.constant_distribution(mesh, 2, 1),
+                lambda: document_smoothness(default_only, mesh),
+                lambda: document_smoothness(declared, mesh, (0, 3)),
+            ]
+        for build in builds:
+            calls = _count_fraction_ops(monkeypatch)
+            dist = build()
+            analysis = t.analyze_segments(mesh)
+            term = t.combinatorial_term(mesh, dist, degree)
+            bound = t.h_upper_bound(analysis, dist, degree, t.default_ordering(analysis))
+            searched = t.search_ordering(analysis, dist, degree)
+            reports = [t.dimension_bounds(mesh, dist, degree, policy, analysis=analysis) for policy in ("auto", "search")]
+            h = t.h_via_mis_presentation(mesh, dist, degree, analysis)
+            system = t.build_spline_system(mesh, dist, degree)
+            monkeypatch.undo()
+            assert sum(calls.values()) == 0, (len(mesh.cells), calls)
+            assert term == _combinatorial_term_by_faces(mesh, dist, degree)
+            assert (searched is None) == (len(analysis.mis) > t.dimension.SEARCH_LIMIT)
+            assert reports[0].per_segment == bound.per_segment and reports[1].h_upper <= reports[0].h_upper
+            assert reports[1].h_lower <= h <= reports[1].h_upper
+            assert system.nrows > 0
     counts = [(len(t.analyze_segments(mesh).segments), len(t.analyze_segments(mesh).mis)) for mesh, _ in meshes]
     assert counts[0] == (30, 0) and 0 < counts[1][1] <= t.dimension.SEARCH_LIMIT < counts[2][1], counts
+
+
+def test_each_declared_line_costs_a_bounded_number_of_fraction_operations(monkeypatch):
+    # k smooth lines over a default-smooth pair: each is placed on its node
+    # line by one bisection (and hashed once, in the dict of the document's
+    # pairs); the other lines take the default without a Fraction operation.
+    mesh, degree = grid_mesh(32, 32), (2, 2)
+    x, y = mesh.nodes_x, mesh.nodes_y
+    cases = [({}, {}), ({x[5]: 0}, {}), ({x[5]: 0, x[17]: 2}, {y[9]: 0})]
+    cases.append((dict.fromkeys(x[1:9], 0), dict.fromkeys(y[20:28], 3)))
+    for smooth_h, smooth_v in cases:
+        doc = MeshDocument.make(mesh.cell_rects(), (1, 1), smooth_h, smooth_v)
+        calls = _count_fraction_ops(monkeypatch)
+        dist = document_smoothness(doc, mesh)
+        report = t.dimension_bounds(mesh, dist, degree, "auto")
+        system = t.build_spline_system(mesh, dist, degree)
+        monkeypatch.undo()
+        k = len(smooth_h) + len(smooth_v)
+        assert sum(calls.values()) <= 8 * k, (k, calls)
+        assert dist.orders_x == tuple(smooth_h.get(node, 1) for node in x)
+        assert dist.orders_y == tuple(smooth_v.get(node, 1) for node in y)
+        assert report.combinatorial == _combinatorial_term_by_faces(mesh, dist, degree) and system.nrows > 0
 
 
 def test_combinatorial_term_constant_case_formula():

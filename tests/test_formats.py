@@ -100,6 +100,19 @@ def test_make_refuses_floats():
     assert doc.smooth_h == ((F(1, 2), 1),)
 
 
+def test_make_refuses_two_keys_on_one_node_line():
+    # 1 and "1" are two keys but one node line: the document stored both
+    # pairs, and did not survive the round trip through its own text.
+    with pytest.raises(ValueError, match=r"^smooth h 1: two orders for one node line$"):
+        MeshDocument.make(EX51_CELLS, smooth_h={1: 0, "1": 2})
+    with pytest.raises(ValueError, match=r"^smooth v 1/2: two orders for one node line$"):
+        MeshDocument.make(EX51_CELLS, smooth_v={F(1, 2): 0, "0.5": 1})
+    # A file keeps its rule: the later smooth line of a node line wins.
+    doc = parse_tmesh(EX51_TEXT + "smooth h 1 0\nsmooth h 2/2 2\n")
+    assert doc.smooth_h == ((1, 2),)
+    assert parse_tmesh(format_tmesh(doc)) == doc
+
+
 _RATIONALS = st.builds(F, st.integers(min_value=-96, max_value=96), st.integers(min_value=1, max_value=12))
 _LENGTHS = st.builds(F, st.integers(min_value=1, max_value=96), st.integers(min_value=1, max_value=12))
 _ORDERS = st.integers(min_value=0, max_value=5)

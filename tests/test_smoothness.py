@@ -166,3 +166,29 @@ def test_the_orders_are_aligned_with_the_node_lines(staircase):
     assert dist.orders_x == tuple(dist.order("v", x) for x in staircase.nodes_x)
     assert dist.orders_y == tuple(dist.order("h", y) for y in staircase.nodes_y)
     assert dist.orders_x[staircase.nodes_x.index(2)] == 0
+
+
+def test_two_keys_on_one_node_line_are_refused():
+    # 1 and "1" are two keys of a dict but one node line; the later one
+    # silently won.
+    strip = t.build_mesh([(0, 0, 1, 1), (1, 0, 2, 1)])
+    with pytest.raises(ValueError, match=r"^smooth h 1: two orders for one node line$"):
+        t.SmoothnessDistribution(strip, {0: 1, 1: 0, "1": 2, 2: 1}, {0: 1, 1: 1})
+    with pytest.raises(ValueError, match=r"^smooth v 0: two orders for one node line$"):
+        t.SmoothnessDistribution(strip, {}, {"0": 1, "0/3": 1}, (1, 1))
+    # an extra h line is still the first error
+    with pytest.raises(UnknownNode, match=r"^smooth h 7: not a node of the mesh$"):
+        t.SmoothnessDistribution(strip, {7: 1, 1: 0, "1": 2}, {0: 1, 1: 1})
+
+
+def test_the_default_pair_fills_every_line_not_given():
+    strip = t.build_mesh([(0, 0, 1, 1), (1, 0, 2, 1)])
+    dist = t.SmoothnessDistribution(strip, {1: 0}, {}, (2, 1))
+    assert (dist.orders_x, dist.orders_y) == ((2, 0, 2), (1, 1))
+    assert dist.order("v", 1) == 0 and dist.is_constant() is None
+    constant = t.constant_distribution(strip, 2, 1)
+    assert (constant.orders_x, constant.orders_y) == ((2, 2, 2), (1, 1))
+    assert t.SmoothnessDistribution(strip, {0: 2, 1: 2, 2: 2}, {0: 1, 1: 1}, (0, 0)).is_constant() == (2, 1)
+    for default, error in [((1, 1, 1), ValueError), ((1,), ValueError), ((1.0, 1), TypeError), ((1, -1), ValueError)]:
+        with pytest.raises(error):
+            t.SmoothnessDistribution(strip, {}, {}, default)
